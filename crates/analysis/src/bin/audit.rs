@@ -248,7 +248,7 @@ fn main() -> ExitCode {
 
     // Non-facade concurrent crates: only the `Relaxed` discipline applies
     // (their threads and locks legitimately speak `std`).
-    let counter_only_sources: [(&str, &str); 3] = [
+    let counter_only_sources: [(&str, &str); 5] = [
         (
             "crates/core/src/control.rs",
             include_str!("../../../core/src/control.rs"),
@@ -256,6 +256,14 @@ fn main() -> ExitCode {
         (
             "crates/server/src/server.rs",
             include_str!("../../../server/src/server.rs"),
+        ),
+        (
+            "crates/server/src/service.rs",
+            include_str!("../../../server/src/service.rs"),
+        ),
+        (
+            "crates/gateway/src/gateway.rs",
+            include_str!("../../../gateway/src/gateway.rs"),
         ),
         (
             "crates/bench/src/bin/loadgen.rs",

@@ -60,6 +60,19 @@ pub const WORKSPACE_CONCURRENCY_ALLOWANCES: &[ConcurrencyAllowance] = &[
         reason: "sticky cooperative cancel flag: polled between epochs, \
                  publishes no data, and never resets",
     },
+    ConcurrencyAllowance {
+        file_suffix: "gateway/src/gateway.rs",
+        line_contains: "consecutive_failures.store(0, Ordering::Relaxed)",
+        reason: "failure-streak reset: a standalone count compared only \
+                 against the threshold, publishing no other data (health \
+                 itself is published with Release)",
+    },
+    ConcurrencyAllowance {
+        file_suffix: "gateway/src/gateway.rs",
+        line_contains: ".store(s.runtime.",
+        reason: "last-poll gauges copied from a backend's stats answer: \
+                 each value stands alone and is only read for reporting",
+    },
 ];
 
 /// Lints one source file. `file` is the label used in diagnostics (and

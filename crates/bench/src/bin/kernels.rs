@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use revelio_core::wire::mix64;
 use revelio_eval::experiments_dir;
 use revelio_tensor::kernels::{
     matmul_nn, matmul_nn_naive, matmul_nt, matmul_nt_naive, matmul_tn, matmul_tn_naive,
@@ -122,11 +123,7 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
     (0..len)
         .map(|_| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            ((z >> 40) as f32 + 1.0) / 16_777_216.0
+            ((mix64(state) >> 40) as f32 + 1.0) / 16_777_216.0
         })
         .collect()
 }

@@ -1,12 +1,16 @@
 //! Serde-free binary encoding for the serving vocabulary.
 //!
-//! The network layer (`revelio-server`) speaks a hand-rolled little-endian
-//! wire format; this module owns the byte-level primitives plus the codecs
-//! for the types *this* crate defines — [`Degradation`], score vectors, and
-//! the serialisable [`ControlSpec`] subset of [`ExplainControl`] — so the
-//! wire representation of core vocabulary lives next to the vocabulary
-//! itself. Everything is explicit and versioned by the frame protocol above
-//! it; there is no reflection and no derive machinery.
+//! The network layer (`revelio-server`) and the persistent store
+//! (`revelio-store`) both speak a hand-rolled little-endian format; this
+//! module owns the byte-level primitives, the CRC-32 both use to checksum
+//! frames and records, the stable hashes behind persisted fingerprints and
+//! routing keys, and one codec per shared type: [`Degradation`], score
+//! vectors, the serialisable [`ControlSpec`] subset of [`ExplainControl`],
+//! [`GnnConfig`], [`Target`], and counted / optional `f32` lists. Every
+//! codec is a plain function pair (`put_*` / `read_*`) because every
+//! caller names the type it codes. Everything is explicit and versioned by
+//! the frame or record format above it; there is no reflection and no
+//! derive machinery.
 //!
 //! Decoding never trusts a length before checking it against the bytes that
 //! are actually present, so a truncated or hostile buffer costs at most the
@@ -15,6 +19,10 @@
 //! [`ExplainControl`]: crate::ExplainControl
 
 use std::fmt;
+use std::hash::Hasher;
+
+use revelio_gnn::{GnnConfig, GnnKind, Task};
+use revelio_graph::Target;
 
 use crate::control::Degradation;
 
@@ -358,6 +366,213 @@ pub fn put_scores(out: &mut Vec<u8>, scores: &[f32]) {
 /// Reads a score vector written by [`put_scores`].
 pub fn read_scores(r: &mut WireReader<'_>) -> Result<Vec<f32>, WireDecodeError> {
     r.f32s()
+}
+
+/// Appends a `u32` count followed by each list as [`put_f32s`] writes it
+/// (parameter tensors, per-layer scores).
+pub fn put_f32_lists(out: &mut Vec<u8>, lists: &[Vec<f32>]) {
+    put_u32(out, lists.len() as u32);
+    for list in lists {
+        put_f32s(out, list);
+    }
+}
+
+/// Reads a list sequence written by [`put_f32_lists`], bounding the count
+/// by the bytes actually present (each list needs at least its own 4-byte
+/// length prefix) before any allocation.
+pub fn read_f32_lists(r: &mut WireReader<'_>) -> Result<Vec<Vec<f32>>, WireDecodeError> {
+    let n = r.u32()? as usize;
+    let floor = n
+        .checked_mul(4)
+        .ok_or(WireDecodeError::Invalid("list count overflows usize"))?;
+    if r.remaining() < floor {
+        return Err(WireDecodeError::Truncated {
+            needed: floor,
+            remaining: r.remaining(),
+        });
+    }
+    (0..n).map(|_| r.f32s()).collect()
+}
+
+/// Appends `Some(lists)` as `1` + [`put_f32_lists`], `None` as `0`.
+pub fn put_opt_f32_lists(out: &mut Vec<u8>, lists: Option<&[Vec<f32>]>) {
+    match lists {
+        Some(lists) => {
+            put_bool(out, true);
+            put_f32_lists(out, lists);
+        }
+        None => put_bool(out, false),
+    }
+}
+
+/// Reads an optional list sequence written by [`put_opt_f32_lists`].
+pub fn read_opt_f32_lists(
+    r: &mut WireReader<'_>,
+) -> Result<Option<Vec<Vec<f32>>>, WireDecodeError> {
+    Ok(if r.bool()? {
+        Some(read_f32_lists(r)?)
+    } else {
+        None
+    })
+}
+
+/// Appends `Some(vs)` as `1` + [`put_f32s`], `None` as `0`.
+pub fn put_opt_f32s(out: &mut Vec<u8>, vs: Option<&[f32]>) {
+    match vs {
+        Some(vs) => {
+            put_bool(out, true);
+            put_f32s(out, vs);
+        }
+        None => put_bool(out, false),
+    }
+}
+
+/// Reads an optional vector written by [`put_opt_f32s`].
+pub fn read_opt_f32s(r: &mut WireReader<'_>) -> Result<Option<Vec<f32>>, WireDecodeError> {
+    Ok(if r.bool()? { Some(r.f32s()?) } else { None })
+}
+
+/// Appends a [`Target`]: tag `0` for the whole graph, tag `1` + the node
+/// index as a `u64`.
+pub fn put_target(out: &mut Vec<u8>, target: Target) {
+    match target {
+        Target::Graph => put_u8(out, 0),
+        Target::Node(n) => {
+            put_u8(out, 1);
+            put_u64(out, n as u64);
+        }
+    }
+}
+
+/// Reads a target written by [`put_target`].
+pub fn read_target(r: &mut WireReader<'_>) -> Result<Target, WireDecodeError> {
+    match r.u8()? {
+        0 => Ok(Target::Graph),
+        1 => Ok(Target::Node(r.u64()? as usize)),
+        _ => Err(WireDecodeError::Invalid("target tag")),
+    }
+}
+
+/// The one-byte tag [`put_gnn_config`] writes for a [`GnnKind`].
+pub fn gnn_kind_tag(kind: GnnKind) -> u8 {
+    match kind {
+        GnnKind::Gcn => 0,
+        GnnKind::Gin => 1,
+        GnnKind::Gat => 2,
+    }
+}
+
+/// The one-byte tag [`put_gnn_config`] writes for a [`Task`].
+pub fn task_tag(task: Task) -> u8 {
+    match task {
+        Task::NodeClassification => 0,
+        Task::GraphClassification => 1,
+    }
+}
+
+/// Appends a [`GnnConfig`]: kind and task tags, the five dimensions as
+/// `u32`s, then the seed.
+pub fn put_gnn_config(out: &mut Vec<u8>, c: &GnnConfig) {
+    put_u8(out, gnn_kind_tag(c.kind));
+    put_u8(out, task_tag(c.task));
+    put_u32(out, c.in_dim as u32);
+    put_u32(out, c.hidden_dim as u32);
+    put_u32(out, c.num_classes as u32);
+    put_u32(out, c.num_layers as u32);
+    put_u32(out, c.heads as u32);
+    put_u64(out, c.seed);
+}
+
+/// Reads a config written by [`put_gnn_config`].
+pub fn read_gnn_config(r: &mut WireReader<'_>) -> Result<GnnConfig, WireDecodeError> {
+    let kind = match r.u8()? {
+        0 => GnnKind::Gcn,
+        1 => GnnKind::Gin,
+        2 => GnnKind::Gat,
+        _ => return Err(WireDecodeError::Invalid("gnn kind tag")),
+    };
+    let task = match r.u8()? {
+        0 => Task::NodeClassification,
+        1 => Task::GraphClassification,
+        _ => return Err(WireDecodeError::Invalid("task tag")),
+    };
+    Ok(GnnConfig {
+        kind,
+        task,
+        in_dim: r.u32()? as usize,
+        hidden_dim: r.u32()? as usize,
+        num_classes: r.u32()? as usize,
+        num_layers: r.u32()? as usize,
+        heads: r.u32()? as usize,
+        seed: r.u64()?,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Checksum and stable hashes: pure functions of the bytes, identical across
+// processes and platforms, so their values may be persisted.
+// ---------------------------------------------------------------------------
+
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-32 (IEEE 802.3) of `data`, table-driven with the table built at
+/// compile time.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// 64-bit FNV-1a as a streaming [`Hasher`]: feeding bytes in several
+/// `write` calls hashes exactly like feeding them in one.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The splitmix64 finalizer: a cheap bijective 64-bit mix whose output
+/// bits each depend on every input bit.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -29,19 +29,20 @@
 //! successful poll on a dead backend triggers a full registration replay
 //! and then re-admits it.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use revelio_gnn::GnnConfig;
-use revelio_server::server::{read_frame_cancellable, POLL_INTERVAL};
 use revelio_server::wire::{
-    write_frame, ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response,
-    ServerStats, WireExplanationSummary, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    ErrorKind, ExplainRequest, GatewayBackendStats, GatewayStats, Request, Response, ServerStats,
+    WireExplanationSummary, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-use revelio_server::{Client, ClientConfig, ClientError};
+use revelio_server::{
+    Client, ClientConfig, ClientError, FrameLimits, FrameService, WireState, POLL_INTERVAL,
+};
 use revelio_trace::{hex_trace_id, AssembledSpan, AssembledTrace, Sampler, TraceContext};
 
 use crate::ring::{route_key, Ring};
@@ -300,7 +301,7 @@ struct TraceRecord {
     spans: Vec<AssembledSpan>,
 }
 
-/// State shared between the acceptor, handlers, and the health poller.
+/// State shared between the connection handlers and the health poller.
 struct Shared {
     cfg: GatewayConfig,
     ring: Ring,
@@ -309,7 +310,8 @@ struct Shared {
     /// model ids are indices into this log. Held across fan-out and
     /// replay so registrations reach every backend in the same order.
     registrations: Mutex<Vec<(GnnConfig, Vec<Vec<f32>>)>>,
-    stop: AtomicBool,
+    /// The stop flag, shared with the frame service.
+    wire: Arc<WireState>,
     routed: AtomicU64,
     fanout: AtomicU64,
     rerouted: AtomicU64,
@@ -454,7 +456,7 @@ impl Shared {
                         let _ = self.call(b, &Request::Shutdown, self.cfg.health_timeout);
                     }
                 }
-                self.stop.store(true, Ordering::Release);
+                self.wire.stop();
                 (Response::ShutdownAck, true)
             }
         }
@@ -948,11 +950,8 @@ impl Shared {
 
 /// A running gateway; dropping it stops and joins every thread.
 pub struct Gateway {
+    service: FrameService,
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<thread::JoinHandle<()>>,
-    health: Option<thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
 impl Gateway {
@@ -965,18 +964,22 @@ impl Gateway {
     /// I/O errors from binding, or an invalid [`GatewayConfig`].
     pub fn start(cfg: GatewayConfig) -> Result<Gateway, GatewayStartError> {
         cfg.validate()?;
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let ring = Ring::new(cfg.shards.len(), cfg.vnodes);
         let backends = cfg.shards.iter().cloned().map(Backend::new).collect();
         let sampler = Sampler::new(cfg.trace_sample_rate, TRACE_SEED);
+        let addr = cfg.addr.clone();
+        let limits = FrameLimits {
+            max_frame_len: cfg.max_frame_len,
+            read_timeout: cfg.read_timeout,
+            write_timeout: cfg.write_timeout,
+        };
+        let wire = Arc::new(WireState::default());
         let shared = Arc::new(Shared {
             cfg,
             ring,
             backends,
             registrations: Mutex::new(Vec::new()),
-            stop: AtomicBool::new(false),
+            wire: Arc::clone(&wire),
             routed: AtomicU64::new(0),
             fanout: AtomicU64::new(0),
             rerouted: AtomicU64::new(0),
@@ -987,42 +990,30 @@ impl Gateway {
             trace_dropped: AtomicU64::new(0),
             assembled: Mutex::new(std::collections::VecDeque::new()),
         });
-        let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
+        let service = FrameService::start(&addr, "gateway", limits, wire, {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            thread::Builder::new()
-                .name("gateway-acceptor".to_owned())
-                .spawn(move || accept_loop(&listener, &shared, &handlers))?
-        };
-        let health = {
+            move |request, _t0| shared.dispatch(request)
+        })?;
+        service.spawn("gateway-health", {
             let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("gateway-health".to_owned())
-                .spawn(move || health_loop(&shared))?
-        };
-        Ok(Gateway {
-            shared,
-            local_addr,
-            acceptor: Some(acceptor),
-            health: Some(health),
-            handlers,
-        })
+            move || health_loop(&shared)
+        })?;
+        Ok(Gateway { service, shared })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.local_addr()
     }
 
     /// Whether a shutdown has been requested.
     pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.service.stopping()
     }
 
     /// Requests shutdown without blocking.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.service.stop();
     }
 
     /// Current gateway counters and per-backend health.
@@ -1032,117 +1023,21 @@ impl Gateway {
 
     /// Stops and joins all threads, returning the final gateway stats.
     pub fn shutdown(mut self) -> GatewayStats {
-        self.stop();
-        self.join_threads();
+        self.service.shutdown();
         self.shared.gateway_stats()
     }
 
     /// Blocks until the gateway stops (a `Shutdown` request over the
     /// wire) and all threads are joined; returns the final stats.
     pub fn wait(mut self) -> GatewayStats {
-        while !self.stopping() {
-            thread::sleep(POLL_INTERVAL);
-        }
-        self.join_threads();
+        self.service.wait();
         self.shared.gateway_stats()
     }
-
-    fn join_threads(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        let drained: Vec<_> = lock(&self.handlers).drain(..).collect();
-        for h in drained {
-            let _ = h.join();
-        }
-    }
 }
 
-impl Drop for Gateway {
-    fn drop(&mut self) {
-        self.stop();
-        self.join_threads();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Reap finished handlers so the vec doesn't grow without
-                // bound on long-lived gateways.
-                lock(handlers).retain(|h| !h.is_finished());
-                let shared = Arc::clone(shared);
-                let spawned = thread::Builder::new()
-                    .name("gateway-conn".to_owned())
-                    .spawn(move || handle_connection(stream, &shared));
-                if let Ok(h) = spawned {
-                    lock(handlers).push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
-    // Short socket timeouts turn blocking reads into a stop-flag poll
-    // loop, exactly like the backend server's connection handler.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    loop {
-        let frame = read_frame_cancellable(
-            &mut stream,
-            shared.cfg.max_frame_len,
-            shared.cfg.read_timeout,
-            &shared.stop,
-        );
-        let payload = match frame {
-            Ok(Some((payload, _len))) => payload,
-            Ok(None) => return,
-            Err(e) => {
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = write_frame(&mut stream, &resp.encode(), shared.cfg.max_frame_len);
-                return;
-            }
-        };
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = write_frame(&mut stream, &resp.encode(), shared.cfg.max_frame_len);
-                return;
-            }
-        };
-        let (response, close_after) = shared.dispatch(request);
-        let wrote = write_frame(&mut stream, &response.encode(), shared.cfg.max_frame_len);
-        if wrote.is_err() || close_after {
-            return;
-        }
-    }
-}
-
-fn health_loop(shared: &Arc<Shared>) {
+fn health_loop(shared: &Shared) {
     let mut last: Option<Instant> = None; // None → poll immediately
-    while !shared.stop.load(Ordering::Acquire) {
+    while !shared.wire.stopping() {
         let due = !matches!(last, Some(t) if t.elapsed() < shared.cfg.health_interval);
         if due {
             shared.health_pass();

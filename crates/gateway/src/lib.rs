@@ -34,4 +34,4 @@ pub mod gateway;
 pub mod ring;
 
 pub use gateway::{Gateway, GatewayConfig, GatewayConfigError, GatewayStartError};
-pub use ring::{fnv1a, route_key, Ring};
+pub use ring::{route_key, Ring};

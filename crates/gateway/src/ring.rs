@@ -13,32 +13,20 @@
 //! gateway restart (or a second gateway in front of the same fleet)
 //! routes identically.
 
+use std::hash::Hasher;
+
+use revelio_core::wire::{mix64, Fnv1a};
 use revelio_graph::Target;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// splitmix64 finalizer. Raw FNV-1a avalanches poorly on short,
-/// structured inputs (sequential ids differ in few bits and land
-/// clustered on the circle, skewing the load split badly); one mixing
-/// round spreads them. Still fully deterministic and platform-stable.
-fn mix(mut h: u64) -> u64 {
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    h
+/// FNV-1a of `bytes` through the splitmix64 finalizer. Raw FNV-1a
+/// avalanches poorly on short, structured inputs (sequential ids differ
+/// in few bits and land clustered on the circle, skewing the load split
+/// badly); one mixing round spreads them. Still fully deterministic and
+/// platform-stable.
+fn circle_hash(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    mix64(h.finish())
 }
 
 /// Hashes the explanation cache key `(model, graph_id, target)` onto the
@@ -56,7 +44,7 @@ pub fn route_key(model: u32, graph_id: u64, target: Target) -> u64 {
         }
         Target::Graph => buf[12] = 1,
     }
-    mix(fnv1a(&buf))
+    circle_hash(&buf)
 }
 
 /// A fixed shard set hashed onto a circle. The ring itself is immutable;
@@ -86,7 +74,7 @@ impl Ring {
                 let mut buf = [0u8; 8];
                 buf[0..4].copy_from_slice(&(shard as u32).to_le_bytes());
                 buf[4..8].copy_from_slice(&(vnode as u32).to_le_bytes());
-                points.push((mix(fnv1a(&buf)), shard));
+                points.push((circle_hash(&buf), shard));
             }
         }
         // Sort by hash; on the (astronomically unlikely) equal hash, by

@@ -81,9 +81,10 @@ impl HistogramSnapshot {
 
     /// Estimates the `q`-quantile (`0 < q <= 1`) in microseconds by linear
     /// interpolation within the covering bucket. Bucket `i` spans
-    /// `(LATENCY_BUCKETS_US[i-1], LATENCY_BUCKETS_US[i]]`; the unbounded
-    /// overflow bucket is capped at the observed `max_us`, so the estimate
-    /// never exceeds a value that actually occurred. Returns 0 when empty.
+    /// `(LATENCY_BUCKETS_US[i-1], LATENCY_BUCKETS_US[i]]`, the unbounded
+    /// overflow bucket ends at the observed `max_us`, and every estimate is
+    /// clamped to `max_us`, so it never exceeds a value that actually
+    /// occurred. Returns 0 when empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -104,7 +105,8 @@ impl HistogramSnapshot {
                     None => self.max_us.max(lo),
                 };
                 let frac = ((target - cum as f64) / n as f64).clamp(0.0, 1.0);
-                return lo + ((hi - lo) as f64 * frac).round() as u64;
+                let estimate = lo + ((hi - lo) as f64 * frac).round() as u64;
+                return estimate.min(self.max_us);
             }
             cum = next;
         }
@@ -502,13 +504,40 @@ mod tests {
             h.observe(Duration::from_micros(500));
         }
         let s = h.snapshot();
-        // Linear interpolation inside (100, 1000]: p50 = 100 + 0.5*900.
-        assert_eq!(s.p50_us(), 550);
-        assert_eq!(s.p90_us(), 910);
-        assert_eq!(s.p99_us(), 991);
+        // Interpolation inside (100, 1000] would give p50 = 550, but no
+        // observation exceeded 500, so every estimate is clamped there.
+        assert_eq!(s.p50_us(), 500);
+        assert_eq!(s.p90_us(), 500);
+        assert_eq!(s.p99_us(), 500);
         // Quantiles are monotone and bounded by the bucket's upper edge.
         assert!(s.quantile_us(1.0) <= 1000);
         assert_eq!(HistogramSnapshot::default().p99_us(), 0);
+    }
+
+    #[test]
+    fn quantiles_interpolate_below_the_max() {
+        let h = Histogram::default();
+        // 100 observations in bucket 1, (100, 1000]us, the largest at its
+        // upper edge: interpolation runs across the whole bucket.
+        for _ in 0..99 {
+            h.observe(Duration::from_micros(500));
+        }
+        h.observe(Duration::from_micros(1000));
+        let s = h.snapshot();
+        assert_eq!(s.p50_us(), 550);
+        assert_eq!(s.p90_us(), 910);
+        assert_eq!(s.p99_us(), 991);
+    }
+
+    #[test]
+    fn single_small_observation_reports_itself() {
+        // One 4us observation sits in the (0, 100]us bucket; interpolating
+        // to the bucket's edge used to report p50 = 50us.
+        let h = Histogram::default();
+        h.observe(Duration::from_micros(4));
+        let s = h.snapshot();
+        assert_eq!(s.p50_us(), 4);
+        assert_eq!(s.p99_us(), 4);
     }
 
     #[test]

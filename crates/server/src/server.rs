@@ -1,25 +1,22 @@
-//! The blocking TCP server: acceptor + per-connection handler threads over
-//! the explanation runtime.
+//! The backend server: the explanation runtime behind a
+//! [`FrameService`].
 //!
-//! Concurrency model: one acceptor thread polls a non-blocking listener;
-//! each accepted connection gets its own handler thread that decodes
-//! frames, submits jobs to the shared [`Runtime`] worker pool, and writes
-//! responses. Parallelism of the *explanations* is bounded by the pool's
-//! worker count, not the connection count, and admission control bounds
-//! the number of jobs in flight: an `Explain` arriving past
-//! [`ServerConfig::max_in_flight`] is answered with [`Response::Busy`]
-//! instead of queued (the connection stays usable).
+//! The frame service owns the listener and the per-connection threads;
+//! this module supplies its dispatch function, which submits jobs to the
+//! shared [`Runtime`] worker pool. Parallelism of the *explanations* is
+//! bounded by the pool's worker count, not the connection count, and
+//! admission control bounds the number of jobs in flight: an `Explain`
+//! arriving past [`ServerConfig::max_in_flight`] is answered with
+//! [`Response::Busy`] instead of queued (the connection stays usable).
 //!
-//! Shutdown is graceful: the stop flag halts the acceptor and the
-//! handlers *between frames*, in-flight jobs run to completion (handlers
-//! block on their tickets), and [`Server::shutdown`] joins every thread
-//! before returning the final stats.
+//! Shutdown is graceful: handlers stop *between frames*, in-flight jobs
+//! run to completion (handlers block on their tickets), and
+//! [`Server::shutdown`] joins every thread before returning the final
+//! stats. While stopping, only read-only requests are still answered.
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use revelio_eval::{
@@ -28,16 +25,17 @@ use revelio_eval::{
 use revelio_gnn::{Gnn, GnnConfig};
 use revelio_graph::Target;
 use revelio_runtime::{
-    ExplainJob, Histogram, JobError, ModelHandle, Runtime, RuntimeBootError, RuntimeConfig,
+    ExplainJob, JobError, ModelHandle, Runtime, RuntimeBootError, RuntimeConfig,
     RuntimeConfigError, TraceMiss,
 };
 use revelio_store::{ExplanationRecord, ExplanationSummary, LogStore, Store, StoreError};
 use revelio_trace::{hex_trace_id, AssembledTrace, Sampler};
 
+use crate::service::{lock, FrameLimits, FrameService, WireState};
 use crate::wire::{
-    parse_header, write_frame, ErrorKind, ExplainRequest, Request, Response, ServedExplanation,
-    ServerStats, WireError, WireExplanationSummary, WireStoredExplanation, WireTiming, WireTrace,
-    DEFAULT_MAX_FRAME_LEN, HEADER_LEN, PROTOCOL_VERSION,
+    ErrorKind, ExplainRequest, Request, Response, ServedExplanation, ServerStats,
+    WireExplanationSummary, WireStoredExplanation, WireTiming, WireTrace, DEFAULT_MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 
 /// How the server binds, times out, and sheds load.
@@ -87,29 +85,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Interval at which blocked reads wake up to poll the stop flag. Public
-/// so the gateway's connection loop can match the backend's cadence.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Wire-level counters, updated by handler threads.
-#[derive(Default)]
-struct WireCounters {
-    connections_accepted: AtomicU64,
-    connections_active: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    protocol_errors: AtomicU64,
-    request_latency: Histogram,
-    trace_sampled: AtomicU64,
-    trace_dropped: AtomicU64,
-}
-
 struct Shared {
     runtime: Runtime,
-    stop: AtomicBool,
-    counters: WireCounters,
+    /// The stop flag and wire counters, shared with the frame service.
+    wire: Arc<WireState>,
     /// Wire model id → runtime handle.
     models: Mutex<Vec<ModelHandle>>,
     /// The same store the runtime writes behind, for serving
@@ -123,30 +102,15 @@ struct Shared {
 
 impl Shared {
     fn stats(&self) -> ServerStats {
-        let c = &self.counters;
-        ServerStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_active: c.connections_active.load(Ordering::Relaxed),
-            bytes_in: c.bytes_in.load(Ordering::Relaxed),
-            bytes_out: c.bytes_out.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            request_latency: c.request_latency.snapshot(),
-            runtime: self.runtime.metrics(),
-            trace_sampled: c.trace_sampled.load(Ordering::Relaxed),
-            trace_dropped: c.trace_dropped.load(Ordering::Relaxed),
-        }
+        self.wire.stats(self.runtime.metrics())
     }
 }
 
 /// A running server; dropping it without calling [`Server::shutdown`]
 /// still stops and joins every thread.
 pub struct Server {
+    service: FrameService,
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    acceptor: Option<thread::JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -175,50 +139,44 @@ impl Server {
         // and the runtime assigns handles sequentially, so handle index ==
         // wire id; an empty or absent store yields an empty map.
         let models = runtime.model_handles();
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let sampler = Sampler::new(cfg.trace_sample_rate, 0x7265_7665_6c69_6f21);
+        let limits = FrameLimits {
+            max_frame_len: cfg.max_frame_len,
+            read_timeout: cfg.read_timeout,
+            write_timeout: cfg.write_timeout,
+        };
+        let addr = cfg.addr.clone();
+        let wire = Arc::new(WireState::default());
         let shared = Arc::new(Shared {
             runtime,
-            stop: AtomicBool::new(false),
-            counters: WireCounters::default(),
+            wire: Arc::clone(&wire),
             models: Mutex::new(models),
             store,
             cfg,
             sampler,
         });
-        let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
+        let service = FrameService::start(&addr, "revelio", limits, wire, {
             let shared = Arc::clone(&shared);
-            let handlers = Arc::clone(&handlers);
-            thread::Builder::new()
-                .name("revelio-acceptor".to_owned())
-                .spawn(move || accept_loop(&listener, &shared, &handlers))?
-        };
-        Ok(Server {
-            shared,
-            local_addr,
-            acceptor: Some(acceptor),
-            handlers,
-        })
+            move |request, t0| serve_request(request, &shared, t0)
+        })?;
+        Ok(Server { service, shared })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.local_addr()
     }
 
     /// Whether a shutdown has been requested (by [`Server::stop`] or a
     /// `Shutdown` request over the wire).
     pub fn stopping(&self) -> bool {
-        self.shared.stop.load(Ordering::Acquire)
+        self.service.stopping()
     }
 
     /// Requests shutdown without blocking: stops accepting and tells
     /// handlers to exit at the next frame boundary.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.service.stop();
     }
 
     /// Current unified wire + runtime stats.
@@ -229,40 +187,15 @@ impl Server {
     /// Graceful shutdown: stop accepting, let every in-flight job finish,
     /// join all threads, and return the final stats.
     pub fn shutdown(mut self) -> ServerStats {
-        self.stop();
-        self.join_threads();
+        self.service.shutdown();
         self.shared.stats()
     }
 
     /// Blocks until the server stops on its own (a `Shutdown` request over
     /// the wire) and all threads are joined; returns the final stats.
     pub fn wait(mut self) -> ServerStats {
-        while !self.stopping() {
-            thread::sleep(POLL_INTERVAL);
-        }
-        self.join_threads();
+        self.service.wait();
         self.shared.stats()
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        // The acceptor has exited, so no new handlers can appear.
-        let drained: Vec<_> = match self.handlers.lock() {
-            Ok(mut hs) => hs.drain(..).collect(),
-            Err(poisoned) => poisoned.into_inner().drain(..).collect(),
-        };
-        for h in drained {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop();
-        self.join_threads();
     }
 }
 
@@ -307,244 +240,10 @@ impl From<StoreError> for ServerStartError {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    handlers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared
-                    .counters
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .connections_active
-                    .fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(shared);
-                let spawn = thread::Builder::new()
-                    .name("revelio-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_shared);
-                        conn_shared
-                            .counters
-                            .connections_active
-                            .fetch_sub(1, Ordering::Relaxed);
-                    });
-                match spawn {
-                    Ok(h) => {
-                        if let Ok(mut hs) = handlers.lock() {
-                            // Reap finished handlers so a long-lived server
-                            // with many short connections does not hoard
-                            // JoinHandles; dropping a finished handle just
-                            // detaches an already-dead thread.
-                            hs.retain(|h| !h.is_finished());
-                            hs.push(h);
-                        }
-                    }
-                    Err(_) => {
-                        // Thread spawn failed (resource exhaustion); the
-                        // stream drops and the peer sees a reset.
-                        shared
-                            .counters
-                            .connections_active
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// Reads one frame, waking every [`POLL_INTERVAL`] to poll the stop flag.
-///
-/// Returns `Ok(None)` on a clean end of the connection: peer EOF between
-/// frames, or a stop request while no frame is in progress. A frame that
-/// *started* is given [`ServerConfig::read_timeout`] to finish even during
-/// shutdown (the peer paid for the bytes; cutting mid-frame would just
-/// produce a protocol error on their side).
-fn read_frame_polling(
-    stream: &mut TcpStream,
-    shared: &Shared,
-) -> Result<Option<Vec<u8>>, WireError> {
-    let got = read_frame_cancellable(
-        stream,
-        shared.cfg.max_frame_len,
-        shared.cfg.read_timeout,
-        &shared.stop,
-    )?;
-    if let Some((payload, frame_len)) = got {
-        shared
-            .counters
-            .bytes_in
-            .fetch_add(frame_len as u64, Ordering::Relaxed);
-        Ok(Some(payload))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Reads one frame from a stream whose read timeout is set to a short poll
-/// interval, waking between reads to check `stop`.
-///
-/// Returns `Ok(None)` on a clean end (peer EOF between frames, or `stop`
-/// raised while no frame is in progress) and `Ok(Some((payload,
-/// frame_len)))` on success, where `frame_len` counts header + payload
-/// bytes for accounting. A frame that *started* is given `read_timeout` to
-/// finish even after `stop` is raised. This is the building block behind
-/// both the backend server's connection loop and the gateway's; callers
-/// must have set a short socket read timeout (else `stop` is only polled
-/// at that cadence).
-pub fn read_frame_cancellable(
-    stream: &mut TcpStream,
-    max_len: usize,
-    read_timeout: Duration,
-    stop: &AtomicBool,
-) -> Result<Option<(Vec<u8>, usize)>, WireError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(HEADER_LEN);
-    let mut chunk = [0u8; 64 * 1024];
-    let mut started_at: Option<Instant> = None;
-    let mut need = HEADER_LEN;
-    let mut expected_crc = 0u32;
-    let mut header_parsed = false;
-
-    loop {
-        if let Some(t0) = started_at {
-            if t0.elapsed() > read_timeout {
-                return Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "frame did not complete within the read timeout",
-                )));
-            }
-        } else if stop.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let want = (need - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    Ok(None)
-                } else {
-                    Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    )))
-                };
-            }
-            Ok(n) => {
-                if started_at.is_none() {
-                    started_at = Some(Instant::now());
-                }
-                buf.extend_from_slice(&chunk[..n]);
-                if !header_parsed && buf.len() == HEADER_LEN {
-                    let mut header = [0u8; HEADER_LEN];
-                    header.copy_from_slice(&buf);
-                    let (len, crc) = parse_header(&header, max_len)?;
-                    header_parsed = true;
-                    expected_crc = crc;
-                    need = HEADER_LEN + len;
-                    if len == 0 {
-                        // Fall through to the completion check below.
-                    }
-                }
-                if header_parsed && buf.len() == need {
-                    let payload = buf.split_off(HEADER_LEN);
-                    let got = crate::wire::crc32(&payload);
-                    if got != expected_crc {
-                        return Err(WireError::ChecksumMismatch {
-                            expected: expected_crc,
-                            got,
-                        });
-                    }
-                    return Ok(Some((payload, need)));
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    // Short socket timeouts turn blocking reads into a stop-flag poll loop;
-    // `read_frame_polling` enforces the real per-frame budget itself.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    loop {
-        let payload = match read_frame_polling(&mut stream, shared) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                // Best-effort diagnostic, then drop the connection: framing
-                // is lost, so nothing later on this stream can be trusted.
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = send_response(&mut stream, shared, &resp);
-                return;
-            }
-        };
-        let t0 = Instant::now();
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    kind: ErrorKind::Malformed,
-                    message: e.to_string(),
-                };
-                let _ = send_response(&mut stream, shared, &resp);
-                return;
-            }
-        };
-        let (response, close_after) = serve_request(request, shared, t0);
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        shared.counters.request_latency.observe(t0.elapsed());
-        if send_response(&mut stream, shared, &response).is_err() || close_after {
-            return;
-        }
-    }
-}
-
-fn send_response(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    resp: &Response,
-) -> Result<(), WireError> {
-    let n = write_frame(stream, &resp.encode(), shared.cfg.max_frame_len)?;
-    shared
-        .counters
-        .bytes_out
-        .fetch_add(n as u64, Ordering::Relaxed);
-    Ok(())
-}
-
 /// Serves one decoded request; the second return value asks the handler to
 /// close the connection after writing the response.
 fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, bool) {
-    if shared.stop.load(Ordering::Acquire)
+    if shared.wire.stopping()
         && !matches!(
             request,
             // Read-only requests stay answerable during shutdown.
@@ -584,7 +283,7 @@ fn serve_request(request: Request, shared: &Shared, t0: Instant) -> (Response, b
         }
         Request::AssembledTrace { hi, lo } => (serve_assembled(shared, hi, lo), false),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::Release);
+            shared.wire.stop();
             (Response::ShutdownAck, true)
         }
         Request::FetchExplanation(job_id, _context) => (fetch_explanation(shared, job_id), false),
@@ -719,10 +418,7 @@ fn register_model(shared: &Shared, config: GnnConfig, state: &[Vec<f32>]) -> Res
     }
     model.load_state(state);
     let handle = shared.runtime.register_model(&model);
-    let mut models = match shared.models.lock() {
-        Ok(m) => m,
-        Err(p) => p.into_inner(),
-    };
+    let mut models = lock(&shared.models);
     models.push(handle);
     Response::ModelRegistered {
         model: (models.len() - 1) as u32,
@@ -767,10 +463,7 @@ fn validate_gnn_config(c: &GnnConfig, max_frame_len: usize) -> Result<(), &'stat
 
 fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response {
     let handle = {
-        let models = match shared.models.lock() {
-            Ok(m) => m,
-            Err(p) => p.into_inner(),
-        };
+        let models = lock(&shared.models);
         match models.get(req.model as usize) {
             Some(&h) => h,
             None => {
@@ -822,11 +515,13 @@ fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response 
             .map_or_else(|| shared.sampler.sample(), |c| c.sampled);
     if traced {
         shared
+            .wire
             .counters
             .trace_sampled
             .fetch_add(1, Ordering::Relaxed);
     } else {
         shared
+            .wire
             .counters
             .trace_dropped
             .fetch_add(1, Ordering::Relaxed);
@@ -859,7 +554,7 @@ fn serve_explain(shared: &Shared, req: ExplainRequest, t0: Instant) -> Response 
     {
         Ok(t) => t,
         Err(_rejected) => {
-            shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+            shared.wire.counters.shed.fetch_add(1, Ordering::Relaxed);
             return Response::Busy {
                 in_flight: shared.runtime.in_flight() as u32,
                 limit: shared.cfg.max_in_flight as u32,

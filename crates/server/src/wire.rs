@@ -25,13 +25,16 @@
 
 use std::io::{Read, Write};
 
+pub use revelio_core::wire::crc32;
 use revelio_core::wire::{
-    put_bool, put_f32, put_f32s, put_opt_u64, put_str, put_u16, put_u32, put_u64, put_u8,
-    ControlSpec, WireDecodeError, WireReader,
+    put_bool, put_f32, put_f32_lists, put_f32s, put_gnn_config, put_opt_f32_lists, put_opt_f32s,
+    put_opt_u64, put_str, put_target, put_u16, put_u32, put_u64, put_u8, read_f32_lists,
+    read_gnn_config, read_opt_f32_lists, read_opt_f32s, read_target, ControlSpec, WireDecodeError,
+    WireReader,
 };
 use revelio_core::{Degradation, Objective};
 use revelio_eval::Effort;
-use revelio_gnn::{GnnConfig, GnnKind, Task};
+use revelio_gnn::GnnConfig;
 use revelio_graph::{Graph, Target};
 use revelio_runtime::prometheus::{push_counter, push_gauge, push_histogram, render_metrics};
 use revelio_runtime::{
@@ -171,39 +174,6 @@ impl WireError {
             _ => false,
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, computed at compile time.
-// ---------------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,72 +1031,6 @@ fn decode_graph(r: &mut WireReader<'_>) -> Result<Graph, WireDecodeError> {
     Ok(b.build())
 }
 
-fn encode_target(out: &mut Vec<u8>, t: Target) {
-    match t {
-        Target::Graph => put_u8(out, 0),
-        Target::Node(n) => {
-            put_u8(out, 1);
-            put_u64(out, n as u64);
-        }
-    }
-}
-
-fn decode_target(r: &mut WireReader<'_>) -> Result<Target, WireDecodeError> {
-    match r.u8()? {
-        0 => Ok(Target::Graph),
-        1 => Ok(Target::Node(r.u64()? as usize)),
-        _ => Err(WireDecodeError::Invalid("target tag")),
-    }
-}
-
-fn encode_gnn_config(out: &mut Vec<u8>, c: &GnnConfig) {
-    put_u8(
-        out,
-        match c.kind {
-            GnnKind::Gcn => 0,
-            GnnKind::Gin => 1,
-            GnnKind::Gat => 2,
-        },
-    );
-    put_u8(
-        out,
-        match c.task {
-            Task::NodeClassification => 0,
-            Task::GraphClassification => 1,
-        },
-    );
-    put_u32(out, c.in_dim as u32);
-    put_u32(out, c.hidden_dim as u32);
-    put_u32(out, c.num_classes as u32);
-    put_u32(out, c.num_layers as u32);
-    put_u32(out, c.heads as u32);
-    put_u64(out, c.seed);
-}
-
-fn decode_gnn_config(r: &mut WireReader<'_>) -> Result<GnnConfig, WireDecodeError> {
-    let kind = match r.u8()? {
-        0 => GnnKind::Gcn,
-        1 => GnnKind::Gin,
-        2 => GnnKind::Gat,
-        _ => return Err(WireDecodeError::Invalid("gnn kind tag")),
-    };
-    let task = match r.u8()? {
-        0 => Task::NodeClassification,
-        1 => Task::GraphClassification,
-        _ => return Err(WireDecodeError::Invalid("task tag")),
-    };
-    Ok(GnnConfig {
-        kind,
-        task,
-        in_dim: r.u32()? as usize,
-        hidden_dim: r.u32()? as usize,
-        num_classes: r.u32()? as usize,
-        num_layers: r.u32()? as usize,
-        heads: r.u32()? as usize,
-        seed: r.u64()?,
-    })
-}
-
 fn encode_histogram(out: &mut Vec<u8>, h: &HistogramSnapshot) {
     for b in h.buckets {
         put_u64(out, b);
@@ -1167,11 +1071,8 @@ fn encode_metrics(out: &mut Vec<u8>, m: &MetricsSnapshot) {
     encode_histogram(out, &m.phase_flow_index);
     encode_histogram(out, &m.phase_optimize);
     encode_histogram(out, &m.phase_readout);
-    // v3: store counters ride at the tail so the layout stays append-only.
     put_u64(out, m.store_hits);
     put_u64(out, m.store_misses);
-    // v4: batch counters and the batch-size histogram, appended after the
-    // v3 tail.
     put_u64(out, m.batches);
     put_u64(out, m.batched_jobs);
     encode_size_histogram(out, &m.batch_size);
@@ -1557,26 +1458,11 @@ fn encode_stored_explanation(out: &mut Vec<u8>, e: &WireStoredExplanation) {
     put_u64(out, e.job_id);
     put_u32(out, e.model);
     put_u64(out, e.graph_id);
-    encode_target(out, e.target);
+    put_target(out, e.target);
     put_u32(out, e.layers);
     put_f32s(out, &e.edge_scores);
-    match &e.layer_edge_scores {
-        Some(layers) => {
-            put_u8(out, 1);
-            put_u32(out, layers.len() as u32);
-            for l in layers {
-                put_f32s(out, l);
-            }
-        }
-        None => put_u8(out, 0),
-    }
-    match &e.flow_scores {
-        Some(scores) => {
-            put_u8(out, 1);
-            put_f32s(out, scores);
-        }
-        None => put_u8(out, 0),
-    }
+    put_opt_f32_lists(out, e.layer_edge_scores.as_deref());
+    put_opt_f32s(out, e.flow_scores.as_deref());
     e.degradation.encode(out);
     put_u64(out, e.queue_us);
     put_u64(out, e.prep_us);
@@ -1587,45 +1473,15 @@ fn encode_stored_explanation(out: &mut Vec<u8>, e: &WireStoredExplanation) {
 fn decode_stored_explanation(
     r: &mut WireReader<'_>,
 ) -> Result<WireStoredExplanation, WireDecodeError> {
-    let job_id = r.u64()?;
-    let model = r.u32()?;
-    let graph_id = r.u64()?;
-    let target = decode_target(r)?;
-    let layers = r.u32()?;
-    let edge_scores = r.f32s()?;
-    let layer_edge_scores = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.u32()? as usize;
-            // Each layer costs at least its own 4-byte length prefix.
-            if r.remaining() < n.saturating_mul(4) {
-                return Err(WireDecodeError::Truncated {
-                    needed: n.saturating_mul(4),
-                    remaining: r.remaining(),
-                });
-            }
-            let mut lists = Vec::with_capacity(n);
-            for _ in 0..n {
-                lists.push(r.f32s()?);
-            }
-            Some(lists)
-        }
-        _ => return Err(WireDecodeError::Invalid("layer scores tag")),
-    };
-    let flow_scores = match r.u8()? {
-        0 => None,
-        1 => Some(r.f32s()?),
-        _ => return Err(WireDecodeError::Invalid("flow scores tag")),
-    };
     Ok(WireStoredExplanation {
-        job_id,
-        model,
-        graph_id,
-        target,
-        layers,
-        edge_scores,
-        layer_edge_scores,
-        flow_scores,
+        job_id: r.u64()?,
+        model: r.u32()?,
+        graph_id: r.u64()?,
+        target: read_target(r)?,
+        layers: r.u32()?,
+        edge_scores: r.f32s()?,
+        layer_edge_scores: read_opt_f32_lists(r)?,
+        flow_scores: read_opt_f32s(r)?,
         degradation: Degradation::decode(r)?,
         queue_us: r.u64()?,
         prep_us: r.u64()?,
@@ -1643,7 +1499,7 @@ fn encode_summary(out: &mut Vec<u8>, s: &WireExplanationSummary) {
     put_u64(out, s.job_id);
     put_u32(out, s.model);
     put_u64(out, s.graph_id);
-    encode_target(out, s.target);
+    put_target(out, s.target);
     put_u32(out, s.layers);
     put_bool(out, s.degraded);
     put_bool(out, s.has_mask);
@@ -1654,7 +1510,7 @@ fn decode_summary(r: &mut WireReader<'_>) -> Result<WireExplanationSummary, Wire
         job_id: r.u64()?,
         model: r.u32()?,
         graph_id: r.u64()?,
-        target: decode_target(r)?,
+        target: read_target(r)?,
         layers: r.u32()?,
         degraded: r.bool()?,
         has_mask: r.bool()?,
@@ -1683,11 +1539,8 @@ impl Request {
             Request::Ping => put_u8(&mut out, REQ_PING),
             Request::RegisterModel { config, state } => {
                 put_u8(&mut out, REQ_REGISTER_MODEL);
-                encode_gnn_config(&mut out, config);
-                put_u32(&mut out, state.len() as u32);
-                for param in state {
-                    put_f32s(&mut out, param);
-                }
+                put_gnn_config(&mut out, config);
+                put_f32_lists(&mut out, state);
             }
             Request::Explain(e) => {
                 put_u8(&mut out, REQ_EXPLAIN);
@@ -1708,11 +1561,9 @@ impl Request {
                         Effort::Paper => 1,
                     },
                 );
-                encode_target(&mut out, e.target);
+                put_target(&mut out, e.target);
                 e.control.encode(&mut out);
                 encode_graph(&mut out, &e.graph);
-                // v6: the trace context rides after the graph so the
-                // layout stays append-only.
                 encode_opt_context(&mut out, &e.context);
             }
             Request::Stats => put_u8(&mut out, REQ_STATS),
@@ -1743,19 +1594,8 @@ impl Request {
         let req = match r.u8()? {
             REQ_PING => Request::Ping,
             REQ_REGISTER_MODEL => {
-                let config = decode_gnn_config(&mut r)?;
-                let n = r.u32()? as usize;
-                // Each parameter is at least a 4-byte length prefix.
-                if r.remaining() < n.saturating_mul(4) {
-                    return Err(WireDecodeError::Truncated {
-                        needed: n.saturating_mul(4),
-                        remaining: r.remaining(),
-                    });
-                }
-                let mut state = Vec::with_capacity(n);
-                for _ in 0..n {
-                    state.push(r.f32s()?);
-                }
+                let config = read_gnn_config(&mut r)?;
+                let state = read_f32_lists(&mut r)?;
                 Request::RegisterModel { config, state }
             }
             REQ_EXPLAIN => {
@@ -1772,7 +1612,7 @@ impl Request {
                     1 => Effort::Paper,
                     _ => return Err(WireDecodeError::Invalid("effort tag")),
                 };
-                let target = decode_target(&mut r)?;
+                let target = read_target(&mut r)?;
                 let control = ControlSpec::decode(&mut r)?;
                 let graph = decode_graph(&mut r)?;
                 let context = decode_opt_context(&mut r)?;
@@ -1834,23 +1674,8 @@ impl Response {
             Response::Explained(e) => {
                 put_u8(&mut out, RESP_EXPLAINED);
                 put_f32s(&mut out, &e.edge_scores);
-                match &e.layer_edge_scores {
-                    Some(layers) => {
-                        put_u8(&mut out, 1);
-                        put_u32(&mut out, layers.len() as u32);
-                        for l in layers {
-                            put_f32s(&mut out, l);
-                        }
-                    }
-                    None => put_u8(&mut out, 0),
-                }
-                match &e.flow_scores {
-                    Some(scores) => {
-                        put_u8(&mut out, 1);
-                        put_f32s(&mut out, scores);
-                    }
-                    None => put_u8(&mut out, 0),
-                }
+                put_opt_f32_lists(&mut out, e.layer_edge_scores.as_deref());
+                put_opt_f32s(&mut out, e.flow_scores.as_deref());
                 e.degradation.encode(&mut out);
                 put_u64(&mut out, e.timing.queue_us);
                 put_u64(&mut out, e.timing.prep_us);
@@ -1882,8 +1707,6 @@ impl Response {
                 put_u64(&mut out, s.protocol_errors);
                 encode_histogram(&mut out, &s.request_latency);
                 encode_metrics(&mut out, &s.runtime);
-                // v5: the optional gateway tail rides after the runtime
-                // metrics so the layout stays append-only.
                 match gateway {
                     Some(g) => {
                         put_u8(&mut out, 1);
@@ -1891,8 +1714,6 @@ impl Response {
                     }
                     None => put_u8(&mut out, 0),
                 }
-                // v6: trace sampling counters, appended after the gateway
-                // tail.
                 put_u64(&mut out, s.trace_sampled);
                 put_u64(&mut out, s.trace_dropped);
             }
@@ -1938,48 +1759,19 @@ impl Response {
         let resp = match r.u8()? {
             RESP_PONG => Response::Pong { version: r.u16()? },
             RESP_MODEL_REGISTERED => Response::ModelRegistered { model: r.u32()? },
-            RESP_EXPLAINED => {
-                let edge_scores = r.f32s()?;
-                let layer_edge_scores = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let n = r.u32()? as usize;
-                        if r.remaining() < n.saturating_mul(4) {
-                            return Err(WireDecodeError::Truncated {
-                                needed: n.saturating_mul(4),
-                                remaining: r.remaining(),
-                            });
-                        }
-                        let mut layers = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            layers.push(r.f32s()?);
-                        }
-                        Some(layers)
-                    }
-                    _ => return Err(WireDecodeError::Invalid("layer scores tag")),
-                };
-                let flow_scores = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.f32s()?),
-                    _ => return Err(WireDecodeError::Invalid("flow scores tag")),
-                };
-                let degradation = Degradation::decode(&mut r)?;
-                let timing = WireTiming {
+            RESP_EXPLAINED => Response::Explained(ServedExplanation {
+                edge_scores: r.f32s()?,
+                layer_edge_scores: read_opt_f32_lists(&mut r)?,
+                flow_scores: read_opt_f32s(&mut r)?,
+                degradation: Degradation::decode(&mut r)?,
+                timing: WireTiming {
                     queue_us: r.u64()?,
                     prep_us: r.u64()?,
                     explain_us: r.u64()?,
                     total_us: r.u64()?,
-                };
-                let trace_id = r.opt_u64()?;
-                Response::Explained(ServedExplanation {
-                    edge_scores,
-                    layer_edge_scores,
-                    flow_scores,
-                    degradation,
-                    timing,
-                    trace_id,
-                })
-            }
+                },
+                trace_id: r.opt_u64()?,
+            }),
             RESP_BUSY => Response::Busy {
                 in_flight: r.u32()?,
                 limit: r.u32()?,
@@ -1989,32 +1781,36 @@ impl Response {
                 message: r.str()?,
             },
             RESP_STATS => {
-                let s = ServerStats {
-                    connections_accepted: r.u64()?,
-                    connections_active: r.u64()?,
-                    bytes_in: r.u64()?,
-                    bytes_out: r.u64()?,
-                    requests: r.u64()?,
-                    shed: r.u64()?,
-                    protocol_errors: r.u64()?,
-                    request_latency: decode_histogram(&mut r)?,
-                    // The v6 trace counters ride *after* the optional
-                    // gateway tail; filled in below.
-                    trace_sampled: 0,
-                    trace_dropped: 0,
-                    runtime: decode_metrics(&mut r)?,
-                };
+                // Fields are read in wire order: the trace counters follow
+                // the optional gateway tail.
+                let connections_accepted = r.u64()?;
+                let connections_active = r.u64()?;
+                let bytes_in = r.u64()?;
+                let bytes_out = r.u64()?;
+                let requests = r.u64()?;
+                let shed = r.u64()?;
+                let protocol_errors = r.u64()?;
+                let request_latency = decode_histogram(&mut r)?;
+                let runtime = decode_metrics(&mut r)?;
                 let gateway = match r.u8()? {
                     0 => None,
                     1 => Some(Box::new(decode_gateway_stats(&mut r)?)),
                     _ => return Err(WireDecodeError::Invalid("gateway stats tag")),
                 };
-                let s = ServerStats {
+                let stats = ServerStats {
+                    connections_accepted,
+                    connections_active,
+                    bytes_in,
+                    bytes_out,
+                    requests,
+                    shed,
+                    protocol_errors,
+                    request_latency,
                     trace_sampled: r.u64()?,
                     trace_dropped: r.u64()?,
-                    ..s
+                    runtime,
                 };
-                Response::Stats(Box::new(s), gateway)
+                Response::Stats(Box::new(stats), gateway)
             }
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
             RESP_TRACE => Response::Trace(match r.u8()? {

@@ -4,18 +4,21 @@
 //! ([`ModelRecord`]), capped flow enumerations ([`FlowsRecord`]), and
 //! finished explanations ([`ExplanationRecord`] — scores, degradation, the
 //! phase summary, and the converged mask that seeds warm-started
-//! re-optimisation). Every codec is built on the same hand-rolled
-//! little-endian primitives as the network wire format
-//! ([`revelio_core::wire`]): length prefixes are validated against the
-//! bytes actually present *before* any allocation, and every decode ends
-//! with an [`expect_end`](WireReader::expect_end) tripwire at the record
-//! boundary.
+//! re-optimisation). Every codec is built from the same primitives and
+//! shared codecs as the network wire format ([`revelio_core::wire`]):
+//! length prefixes are validated against the bytes actually present
+//! *before* any allocation, and every decode ends with an
+//! [`expect_end`](WireReader::expect_end) tripwire at the record boundary.
+
+use std::hash::Hasher;
 
 use revelio_core::wire::{
-    put_bool, put_f32s, put_u32, put_u32s, put_u64, put_u8, WireDecodeError, WireReader,
+    gnn_kind_tag, put_bool, put_f32_lists, put_f32s, put_gnn_config, put_opt_f32_lists,
+    put_opt_f32s, put_target, put_u32, put_u32s, put_u64, read_f32_lists, read_gnn_config,
+    read_opt_f32_lists, read_opt_f32s, read_target, task_tag, Fnv1a, WireDecodeError, WireReader,
 };
 use revelio_core::Degradation;
-use revelio_gnn::{GnnConfig, GnnKind, Task};
+use revelio_gnn::GnnConfig;
 use revelio_graph::Target;
 
 /// A registered model: wire-assigned id, content fingerprint, and the full
@@ -154,16 +157,8 @@ pub struct MaskHit {
 /// guarding) hash the same canonical byte stream: the config's integer
 /// fields followed by every parameter's IEEE-754 bits in state order.
 pub fn fingerprint_model(config: &GnnConfig, state: &[Vec<f32>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&[kind_tag(config.kind), task_tag(config.task)]);
+    let mut h = Fnv1a::default();
+    h.write(&[gnn_kind_tag(config.kind), task_tag(config.task)]);
     for v in [
         config.in_dim as u64,
         config.hidden_dim as u64,
@@ -172,129 +167,15 @@ pub fn fingerprint_model(config: &GnnConfig, state: &[Vec<f32>]) -> u64 {
         config.heads as u64,
         config.seed,
     ] {
-        eat(&v.to_le_bytes());
+        h.write(&v.to_le_bytes());
     }
     for tensor in state {
-        eat(&(tensor.len() as u64).to_le_bytes());
+        h.write(&(tensor.len() as u64).to_le_bytes());
         for &x in tensor {
-            eat(&x.to_bits().to_le_bytes());
+            h.write(&x.to_bits().to_le_bytes());
         }
     }
-    h
-}
-
-// ---------------------------------------------------------------------------
-// Shared sub-codecs.
-// ---------------------------------------------------------------------------
-
-fn kind_tag(kind: GnnKind) -> u8 {
-    match kind {
-        GnnKind::Gcn => 0,
-        GnnKind::Gin => 1,
-        GnnKind::Gat => 2,
-    }
-}
-
-fn task_tag(task: Task) -> u8 {
-    match task {
-        Task::NodeClassification => 0,
-        Task::GraphClassification => 1,
-    }
-}
-
-fn put_target(out: &mut Vec<u8>, target: Target) {
-    match target {
-        Target::Graph => put_u8(out, 0),
-        Target::Node(n) => {
-            put_u8(out, 1);
-            put_u64(out, n as u64);
-        }
-    }
-}
-
-fn read_target(r: &mut WireReader<'_>) -> Result<Target, WireDecodeError> {
-    match r.u8()? {
-        0 => Ok(Target::Graph),
-        1 => Ok(Target::Node(r.u64()? as usize)),
-        _ => Err(WireDecodeError::Invalid("target tag")),
-    }
-}
-
-fn put_config(out: &mut Vec<u8>, config: &GnnConfig) {
-    put_u8(out, kind_tag(config.kind));
-    put_u8(out, task_tag(config.task));
-    put_u32(out, config.in_dim as u32);
-    put_u32(out, config.hidden_dim as u32);
-    put_u32(out, config.num_classes as u32);
-    put_u32(out, config.num_layers as u32);
-    put_u32(out, config.heads as u32);
-    put_u64(out, config.seed);
-}
-
-fn read_config(r: &mut WireReader<'_>) -> Result<GnnConfig, WireDecodeError> {
-    let kind = match r.u8()? {
-        0 => GnnKind::Gcn,
-        1 => GnnKind::Gin,
-        2 => GnnKind::Gat,
-        _ => return Err(WireDecodeError::Invalid("gnn kind tag")),
-    };
-    let task = match r.u8()? {
-        0 => Task::NodeClassification,
-        1 => Task::GraphClassification,
-        _ => return Err(WireDecodeError::Invalid("task tag")),
-    };
-    Ok(GnnConfig {
-        kind,
-        task,
-        in_dim: r.u32()? as usize,
-        hidden_dim: r.u32()? as usize,
-        num_classes: r.u32()? as usize,
-        num_layers: r.u32()? as usize,
-        heads: r.u32()? as usize,
-        seed: r.u64()?,
-    })
-}
-
-fn put_f32_lists(out: &mut Vec<u8>, lists: &[Vec<f32>]) {
-    put_u32(out, lists.len() as u32);
-    for list in lists {
-        put_f32s(out, list);
-    }
-}
-
-/// Reads a `u32`-counted sequence of `f32` vectors, bounding the count by
-/// the bytes actually present (each vector needs at least its own 4-byte
-/// length prefix) before any allocation.
-fn read_f32_lists(r: &mut WireReader<'_>) -> Result<Vec<Vec<f32>>, WireDecodeError> {
-    let n = r.u32()? as usize;
-    let floor = n
-        .checked_mul(4)
-        .ok_or(WireDecodeError::Invalid("list count overflows usize"))?;
-    if r.remaining() < floor {
-        return Err(WireDecodeError::Truncated {
-            needed: floor,
-            remaining: r.remaining(),
-        });
-    }
-    let mut lists = Vec::with_capacity(n);
-    for _ in 0..n {
-        lists.push(r.f32s()?);
-    }
-    Ok(lists)
-}
-
-fn put_opt_f32s(out: &mut Vec<u8>, vs: Option<&[f32]>) {
-    match vs {
-        Some(vs) => {
-            put_bool(out, true);
-            put_f32s(out, vs);
-        }
-        None => put_bool(out, false),
-    }
-}
-
-fn read_opt_f32s(r: &mut WireReader<'_>) -> Result<Option<Vec<f32>>, WireDecodeError> {
-    Ok(if r.bool()? { Some(r.f32s()?) } else { None })
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +187,7 @@ impl ModelRecord {
     pub fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.model_id);
         put_u64(out, self.fingerprint);
-        put_config(out, &self.config);
+        put_gnn_config(out, &self.config);
         put_f32_lists(out, &self.state);
     }
 
@@ -317,7 +198,7 @@ impl ModelRecord {
         let rec = ModelRecord {
             model_id: r.u32()?,
             fingerprint: r.u64()?,
-            config: read_config(&mut r)?,
+            config: read_gnn_config(&mut r)?,
             state: read_f32_lists(&mut r)?,
         };
         r.expect_end()?;
@@ -410,13 +291,7 @@ impl ExplanationRecord {
         self.key.encode(out);
         put_u64(out, self.model_fingerprint);
         put_f32s(out, &self.edge_scores);
-        match &self.layer_edge_scores {
-            Some(lists) => {
-                put_bool(out, true);
-                put_f32_lists(out, lists);
-            }
-            None => put_bool(out, false),
-        }
+        put_opt_f32_lists(out, self.layer_edge_scores.as_deref());
         put_opt_f32s(out, self.flow_scores.as_deref());
         self.degradation.encode(out);
         put_u64(out, self.phases.queue_us);
@@ -440,11 +315,7 @@ impl ExplanationRecord {
         let key = MaskKey::decode(&mut r)?;
         let model_fingerprint = r.u64()?;
         let edge_scores = r.f32s()?;
-        let layer_edge_scores = if r.bool()? {
-            Some(read_f32_lists(&mut r)?)
-        } else {
-            None
-        };
+        let layer_edge_scores = read_opt_f32_lists(&mut r)?;
         let flow_scores = read_opt_f32s(&mut r)?;
         let degradation = Degradation::decode(&mut r)?;
         let phases = PhaseSummary {
@@ -492,6 +363,8 @@ impl ExplanationRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use revelio_core::wire::put_gnn_config as put_config;
+    use revelio_gnn::{GnnKind, Task};
 
     fn config() -> GnnConfig {
         GnnConfig::standard(GnnKind::Gcn, Task::NodeClassification, 4, 3, 11)
