@@ -7,13 +7,16 @@
 //!
 //! Part 1 mirrors the quickstart example: train a GCN on Tree-Cycles,
 //! extract the 3-hop computation subgraph of a motif node, build the flow
-//! index, and record one mask-learning loss tape (Eqs. 4/5/7 + factual
-//! objective). Every audit must come back clean.
+//! index and the target's receptive-field blocks, and record one
+//! mask-learning loss tape as REVELIO's optimize loop builds it (Eqs. 4/5/7
+//! over the block edges, the masked forward over the blocks, factual
+//! objective plus Eqs. 8–9). Every audit must come back clean.
 //!
-//! Part 2 seeds the four defect classes the analyzer exists to catch — a
+//! Part 2 seeds the five defect classes the analyzer exists to catch — a
 //! matmul shape mismatch, a detached mask parameter, an unstabilised
-//! hand-rolled softmax, and a corrupted flow-incidence matrix — and checks
-//! each is reported as its distinct [`DiagnosticKind`].
+//! hand-rolled softmax, a corrupted flow-incidence matrix, and blocks that
+//! miss the flows' edges — and checks each is reported as its distinct
+//! [`DiagnosticKind`].
 //!
 //! Part 3 lints the serving stack's concurrency discipline: the sources of
 //! the facade crates (`revelio-trace`, `revelio-runtime`) are embedded at
@@ -27,15 +30,16 @@
 //! goes undetected, so CI can run it as a gate.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use revelio_analysis::{
-    audit_flow_index, audit_incidence, audit_mp_graph, audit_tape, audit_tape_with_params,
-    lint_concurrency, ConcurrencyCheck, Diagnostic, DiagnosticKind, IncidenceCheck,
-    StabilityPattern, WORKSPACE_CONCURRENCY_ALLOWANCES,
+    audit_blocks, audit_flow_index, audit_incidence, audit_mp_graph, audit_tape,
+    audit_tape_with_params, lint_concurrency, ConcurrencyCheck, Diagnostic, DiagnosticKind,
+    IncidenceCheck, StabilityPattern, WORKSPACE_CONCURRENCY_ALLOWANCES,
 };
 use revelio_datasets::tree_cycles;
 use revelio_gnn::{train_node_classifier, Gnn, GnnConfig, GnnKind, Instance, Task, TrainConfig};
-use revelio_graph::{khop_subgraph, FlowIndex, Target};
+use revelio_graph::{khop_subgraph, Blocks, FlowIndex, Target};
 use revelio_tensor::{BinCsr, Op, Tensor};
 
 fn report(label: &str, ok: bool, diags: &[Diagnostic], failures: &mut u32) {
@@ -101,37 +105,54 @@ fn main() -> ExitCode {
         &mut failures,
     );
 
-    // One REVELIO mask-learning step, recorded but never executed further:
-    // ω[E] = σ(I_l · tanh(M) ⊙ exp(w_l)), factual NLL on the masked logits.
+    // The target's receptive-field blocks, which the optimize epochs run on.
+    let layers = model.num_layers();
+    let blocks = Blocks::for_target(&instance.mp, layers, instance.target);
+    expect_clean(
+        "receptive-field blocks (in-edges of O_l, every flow inside)",
+        audit_blocks(&instance.mp, &index, &blocks),
+        &mut failures,
+    );
+
+    // One REVELIO mask-learning step as the optimize loop records it,
+    // never executed further: block-restricted masks
+    // ω[E_l] = σ(I_l[B_l] · tanh(M) ⊙ exp(w_l)), the masked forward over the
+    // blocks, the factual objective plus a sparsity penalty (Eqs. 8–9).
     let nf = index.num_flows();
-    let ne = instance.mp.layer_edge_count();
     let mask = Tensor::from_vec(vec![0.1; nf], nf, 1).requires_grad();
-    let weights: Vec<Tensor> = (0..model.num_layers())
+    let weights: Vec<Tensor> = (0..layers)
         .map(|_| Tensor::from_vec(vec![0.0], 1, 1).requires_grad())
         .collect();
-    let all_rows = vec![0usize; ne];
-    let masks: Vec<Tensor> = (0..model.num_layers())
+    let masks: Vec<Tensor> = (0..layers)
         .map(|l| {
+            let rows = Arc::new(index.incidence(l).select_rows(blocks.layer(l).edges()));
             mask.tanh_t()
-                .sp_matvec(index.incidence(l))
-                .mul(&weights[l].exp().gather_rows(&all_rows))
-                .sigmoid()
+                .sp_matvec(&rows)
+                .sigmoid_scale(&weights[l].exp())
         })
         .collect();
-    let loss = model
-        .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
+    let norms = Gnn::block_norms(&instance.mp, &blocks);
+    let objective = model
+        .block_target_logits(&blocks, &norms, &instance.x, Some(&masks), instance.target)
         .log_softmax_rows()
-        .nll_loss(&[instance.class]);
+        .slice_cols(instance.class, instance.class + 1)
+        .neg();
+    let penalty = masks
+        .iter()
+        .map(Tensor::sum_all)
+        .reduce(|a, b| a.add(&b))
+        .expect("at least one layer");
+    let loss = objective.add(&penalty.mul_scalar(0.05));
     let mut params = vec![mask.clone()];
     params.extend(weights.iter().cloned());
     expect_clean(
-        "mask-learning loss tape (shapes, stability, gradient reach)",
+        "mask-learning loss tape over the blocks (shapes, stability, gradient reach)",
         audit_tape_with_params(&loss, &params),
         &mut failures,
     );
 
     // ---- Part 2: seeded defects must each be caught ---------------------
-    println!("seeding the four defect classes:");
+    println!("seeding the five defect classes:");
 
     // 1. Shape mismatch: a recorded matmul whose inner dimensions disagree.
     let bad_matmul = Tensor::from_op_unchecked(
@@ -193,6 +214,20 @@ fn main() -> ExitCode {
         "corrupted incidence column sums",
         audit_incidence(&corrupted),
         DiagnosticKind::IncidenceViolation(IncidenceCheck::ColumnSum),
+        &mut failures,
+    );
+
+    // 5. Blocks of another target: the flows ending at this one cross
+    //    edges no block holds, so a block forward would drop them.
+    let other = (sub.target + 1) % instance.mp.num_nodes();
+    expect_kind(
+        "flows outside the receptive-field blocks",
+        audit_blocks(
+            &instance.mp,
+            &index,
+            &Blocks::for_target(&instance.mp, layers, Target::Node(other)),
+        ),
+        DiagnosticKind::IncidenceViolation(IncidenceCheck::FlowOutsideBlock),
         &mut failures,
     );
 

@@ -20,6 +20,9 @@
 //!   exactly 1 (each flow crosses one layer edge per layer); the
 //!   message-passing view requires sorted in-edge lists and exactly one
 //!   self-loop per node.
+//! * **Receptive-field block audit** ([`audit_blocks`]) — block `l` must be
+//!   exactly the in-edges of the nodes whose layer-`l` output is needed, and
+//!   every flow's layer-`l` edge must lie in block `l`.
 //! * **Concurrency-discipline lint** ([`lint_concurrency`]) — line-level
 //!   source checks backing the `revelio-check` model checker: flags
 //!   `Ordering::Relaxed` outside the pure-counter idiom (a relaxed store
@@ -40,7 +43,7 @@ pub use concurrency::{lint_concurrency, ConcurrencyAllowance, WORKSPACE_CONCURRE
 use std::collections::HashSet;
 use std::fmt;
 
-use revelio_graph::{FlowIndex, MpGraph};
+use revelio_graph::{Blocks, FlowIndex, MpGraph};
 use revelio_tensor::{BinCsr, Op, Tensor};
 
 /// What a diagnostic is about.
@@ -138,6 +141,12 @@ pub enum IncidenceCheck {
     /// A per-node in/out-edge list is unsorted or inconsistent with the
     /// edge endpoint arrays.
     AdjacencyConsistency,
+    /// A receptive-field block is not exactly the in-edges of its output
+    /// nodes, or its node lists and compact rows disagree with the graph.
+    BlockEdgeSet,
+    /// A flow crosses a layer edge outside that layer's block, so the
+    /// block-restricted forward would drop its message.
+    FlowOutsideBlock,
 }
 
 impl fmt::Display for IncidenceCheck {
@@ -149,6 +158,8 @@ impl fmt::Display for IncidenceCheck {
             IncidenceCheck::FlowConsistency => write!(f, "flow-consistency"),
             IncidenceCheck::SelfLoopUniqueness => write!(f, "self-loop-uniqueness"),
             IncidenceCheck::AdjacencyConsistency => write!(f, "adjacency-consistency"),
+            IncidenceCheck::BlockEdgeSet => write!(f, "block-edge-set"),
+            IncidenceCheck::FlowOutsideBlock => write!(f, "flow-outside-block"),
         }
     }
 }
@@ -696,6 +707,117 @@ pub fn audit_mp_graph(mp: &MpGraph) -> Vec<Diagnostic> {
     diags
 }
 
+/// Audits receptive-field blocks against their graph and flow index: block
+/// `l` must be exactly the in-edges of its output nodes `O_l` in ascending
+/// id, `O_{l-1}` the sources of those edges (every node for layer 0's
+/// inputs), its compact rows must name the right endpoints, and every
+/// flow's layer-`l` edge must lie in block `l`.
+pub fn audit_blocks(mp: &MpGraph, index: &FlowIndex, blocks: &Blocks) -> Vec<Diagnostic> {
+    let block_diag = |message: String| {
+        Diagnostic::container(
+            DiagnosticKind::IncidenceViolation(IncidenceCheck::BlockEdgeSet),
+            message,
+        )
+    };
+    let mut diags = Vec::new();
+    if blocks.num_layers() != index.num_layers() {
+        diags.push(block_diag(format!(
+            "{} blocks for a {}-layer flow index",
+            blocks.num_layers(),
+            index.num_layers()
+        )));
+        return diags;
+    }
+    let n = mp.num_nodes();
+    let all_nodes: Vec<usize> = (0..n).collect();
+    for l in 0..blocks.num_layers() {
+        let block = blocks.layer(l);
+        if block.outputs().iter().any(|&v| v >= n) {
+            diags.push(block_diag(format!(
+                "block {l} names an output outside {n} nodes"
+            )));
+            continue;
+        }
+        let mut expected: Vec<usize> = block
+            .outputs()
+            .iter()
+            .flat_map(|&v| mp.in_edges(v).iter().map(|&e| e as usize))
+            .collect();
+        expected.sort_unstable();
+        if block.edges() != expected.as_slice() {
+            diags.push(block_diag(format!(
+                "block {l} holds {} edges, but its {} output nodes have {} in-edges",
+                block.edges().len(),
+                block.outputs().len(),
+                expected.len()
+            )));
+            continue;
+        }
+        let inputs: &[usize] = if l == 0 {
+            &all_nodes
+        } else {
+            blocks.layer(l - 1).outputs()
+        };
+        if block.inputs() != inputs {
+            diags.push(block_diag(format!(
+                "block {l} reads {} input rows, expected {}",
+                block.inputs().len(),
+                inputs.len()
+            )));
+            continue;
+        }
+        if l > 0 {
+            let mut sources: Vec<usize> = block.edges().iter().map(|&e| mp.src()[e]).collect();
+            sources.sort_unstable();
+            sources.dedup();
+            if sources != inputs {
+                diags.push(block_diag(format!(
+                    "block {l}'s edges start at {} nodes, but block {} outputs {}",
+                    sources.len(),
+                    l - 1,
+                    inputs.len()
+                )));
+            }
+        }
+        let rows = block.layer_edges();
+        let consistent = block.edges().iter().enumerate().all(|(i, &e)| {
+            block.inputs().get(rows.src[i]) == Some(&mp.src()[e])
+                && block.outputs().get(rows.dst[i]) == Some(&mp.dst()[e])
+                && block.inputs().get(rows.dst_input[i]) == Some(&mp.dst()[e])
+        });
+        if !consistent || rows.num_outputs != block.outputs().len() {
+            diags.push(block_diag(format!(
+                "block {l}'s compact rows disagree with its edges' endpoints"
+            )));
+        }
+
+        let mut in_block = vec![false; mp.layer_edge_count()];
+        for &e in block.edges() {
+            in_block[e] = true;
+        }
+        let outside: Vec<usize> = (0..index.num_flows())
+            .filter(|&f| {
+                !in_block
+                    .get(index.flow(f)[l] as usize)
+                    .copied()
+                    .unwrap_or(false)
+            })
+            .collect();
+        if let Some(&f) = outside.first() {
+            diags.push(Diagnostic::container(
+                DiagnosticKind::IncidenceViolation(IncidenceCheck::FlowOutsideBlock),
+                format!(
+                    "{} flows cross a layer-{l} edge outside block {l} (first: flow {f} on \
+                     edge {})",
+                    outside.len(),
+                    index.flow(f)[l]
+                ),
+            ));
+        }
+    }
+    diags
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,6 +970,39 @@ mod tests {
         let index =
             FlowIndex::build(&mp, 3, Target::Node(3), 100_000).expect("small graph fits cap");
         assert!(audit_flow_index(&mp, &index).is_empty());
+    }
+
+    #[test]
+    fn healthy_blocks_are_clean_and_capped_flows_stay_inside() {
+        let mut b = Graph::builder(5, 1);
+        b.edge(0, 1).edge(1, 2).edge(2, 3).edge(0, 2).edge(4, 0);
+        let mp = MpGraph::new(&b.build());
+        for target in [Target::Node(3), Target::Node(0), Target::Graph] {
+            let blocks = Blocks::for_target(&mp, 3, target);
+            let full = FlowIndex::build(&mp, 3, target, 100_000).expect("small graph fits cap");
+            assert!(audit_blocks(&mp, &full, &blocks).is_empty(), "{target:?}");
+            let capped = FlowIndex::build_capped(&mp, 3, target, 2).index;
+            assert!(audit_blocks(&mp, &capped, &blocks).is_empty(), "{target:?}");
+        }
+    }
+
+    #[test]
+    fn detects_flows_outside_another_targets_blocks() {
+        let mut b = Graph::builder(4, 1);
+        b.edge(0, 1).edge(1, 2).edge(2, 3);
+        let mp = MpGraph::new(&b.build());
+        let index = FlowIndex::build(&mp, 2, Target::Node(3), 100).expect("fits");
+        let blocks = Blocks::for_target(&mp, 2, Target::Node(1));
+        assert!(kinds(&audit_blocks(&mp, &index, &blocks)).contains(
+            &DiagnosticKind::IncidenceViolation(IncidenceCheck::FlowOutsideBlock)
+        ));
+        let shallow = Blocks::for_target(&mp, 1, Target::Node(3));
+        assert_eq!(
+            kinds(&audit_blocks(&mp, &index, &shallow)),
+            vec![DiagnosticKind::IncidenceViolation(
+                IncidenceCheck::BlockEdgeSet
+            )]
+        );
     }
 
     #[test]

@@ -238,7 +238,7 @@ impl Explainer for FlowX {
                 };
                 loss = loss.add(&term.mul_scalar(scale));
             }
-            loss.backward();
+            loss.backward_to(std::slice::from_ref(&mask_params));
             opt.step();
         }
 

@@ -119,7 +119,7 @@ impl Explainer for GnnExplainer {
             let loss = objective
                 .add(&size.mul_scalar(cfg.size_coeff))
                 .add(&entropy.mul_scalar(cfg.entropy_coeff));
-            loss.backward();
+            loss.backward_to(std::slice::from_ref(&mask_params));
             opt.step();
         }
 

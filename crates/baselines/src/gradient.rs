@@ -34,7 +34,7 @@ fn class_gradient(model: &Gnn, instance: &Instance, wrt: &revelio_tensor::Tensor
     };
     let score = logits.slice_cols(instance.class, instance.class + 1);
     wrt.zero_grad();
-    score.backward();
+    score.backward_to(std::slice::from_ref(wrt));
     wrt.grad_vec()
 }
 
@@ -82,7 +82,7 @@ impl Explainer for GradCam {
             (task, target) => panic!("target {target:?} does not match task {task:?}"),
         };
         feature_map.zero_grad();
-        score.backward();
+        score.backward_to(std::slice::from_ref(&feature_map));
         let grad = feature_map.grad_vec();
 
         let (n, d) = feature_map.shape();

@@ -148,7 +148,7 @@ impl GraphMask {
         for g in &gates {
             params.extend(g.params());
         }
-        let mut opt = Adam::new(params, cfg.lr);
+        let mut opt = Adam::new(params.clone(), cfg.lr);
 
         for _ in 0..cfg.epochs {
             for inst in instances {
@@ -176,7 +176,7 @@ impl GraphMask {
                     };
                     loss = loss.add(&term.mul_scalar(scale));
                 }
-                loss.backward();
+                loss.backward_to(&params);
                 opt.step();
             }
         }

@@ -157,7 +157,8 @@ impl PgExplainer {
         let cfg = &self.cfg;
         let is_node = model.config().task == Task::NodeClassification;
         let mlp = Mlp::new(Self::input_dim(model, is_node), cfg.hidden, cfg.seed);
-        let mut opt = Adam::new(mlp.params(), cfg.lr);
+        let params = mlp.params();
+        let mut opt = Adam::new(params.clone(), cfg.lr);
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x96);
 
         // Precompute embeddings and edge inputs per instance.
@@ -199,7 +200,9 @@ impl PgExplainer {
                     Objective::Factual => gate.mean_all(),
                     Objective::Counterfactual => gate.neg().add_scalar(1.0).mean_all(),
                 };
-                objective.add(&size.mul_scalar(cfg.size_coeff)).backward();
+                objective
+                    .add(&size.mul_scalar(cfg.size_coeff))
+                    .backward_to(&params);
                 opt.step();
             }
         }

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use revelio_gnn::{Gnn, Instance, Task};
-use revelio_graph::{FlowIndex, Graph, MpGraph, Target};
+use revelio_graph::{Blocks, FlowIndex, Graph, MpGraph, Target};
 use revelio_tensor::{uniform, Adam, BinCsr, Optimizer, Tensor};
 
 use crate::control::ExplainControl;
@@ -216,6 +216,31 @@ impl BatchedOptimizer {
             })
             .collect();
 
+        // The union's receptive-field blocks for the batch's targets: each
+        // epoch runs only the edges whose messages reach some target.
+        let target_rows: Vec<usize> = items
+            .iter()
+            .enumerate()
+            .map(|(j, it)| match it.instance.target {
+                Target::Node(v) => node_off[j] + v,
+                Target::Graph => unreachable!("fusable() requires node targets"),
+            })
+            .collect();
+        let blocks = Blocks::build(&mp, layers, &target_rows);
+        let norms = Gnn::block_norms(&mp, &blocks);
+        let block_incidence = crate::revelio::block_rows(&union_incidence, &blocks);
+        let block_edge_job: Vec<Vec<usize>> = (0..layers)
+            .map(|l| {
+                blocks
+                    .layer(l)
+                    .edges()
+                    .iter()
+                    .map(|&e| edge_job[e])
+                    .collect()
+            })
+            .collect();
+        let full_edge_job = vec![edge_job; layers];
+
         // Stacked parameters: one mask leaf holding every job's segment
         // (each initialised from its own seed, so segments match the cold
         // per-job init exactly), and one `[B, 1]` weight leaf per layer.
@@ -240,17 +265,20 @@ impl BatchedOptimizer {
             crate::revelio::MaskSquash::Tanh => mask_params.tanh_t(),
             crate::revelio::MaskSquash::Sigmoid => mask_params.sigmoid(),
         };
-        let layer_masks = || {
+        // Masks over the rows of `incidence`, whose row `r` of layer `l`
+        // belongs to job `edge_job[l][r]`: the block rows for the epochs,
+        // every union layer edge for the readout.
+        let layer_masks = |incidence: &[Arc<BinCsr>], edge_job: &[Vec<usize>]| {
             let omega_f = flow_scores();
             (0..layers)
                 .map(|l| {
-                    let s = omega_f.sp_matvec(&union_incidence[l]);
+                    let s = omega_f.sp_matvec(&incidence[l]);
                     match cfg.layer_weight {
                         LayerWeight::Exp => {
-                            s.sigmoid_scale(&layer_weights[l].exp().gather_rows(&edge_job))
+                            s.sigmoid_scale(&layer_weights[l].exp().gather_rows(&edge_job[l]))
                         }
                         LayerWeight::Softplus => {
-                            s.sigmoid_scale(&layer_weights[l].softplus().gather_rows(&edge_job))
+                            s.sigmoid_scale(&layer_weights[l].softplus().gather_rows(&edge_job[l]))
                         }
                         LayerWeight::None => s.sigmoid(),
                     }
@@ -258,38 +286,43 @@ impl BatchedOptimizer {
                 .collect::<Vec<Tensor>>()
         };
 
-        // Per-job sparsity supports (union layer-edge ids of edges carrying
-        // at least one of the job's flows, ascending — the same visit order
-        // the serial run uses).
+        // Per-job sparsity supports: block positions of the union layer edges
+        // carrying at least one of the job's flows, ascending — the same
+        // values in the same visit order the serial run uses.
         let used: Vec<Vec<Vec<usize>>> = items
             .iter()
             .enumerate()
             .map(|(j, it)| {
                 (0..layers)
                     .map(|l| {
+                        let block_edges = blocks.layer(l).edges();
                         (0..it.instance.mp.layer_edge_count())
                             .filter(|&e| !indexes[j].incidence(l).row(e).is_empty())
-                            .map(|e| union_edge(j, e))
+                            .map(|e| {
+                                block_edges
+                                    .binary_search(&union_edge(j, e))
+                                    .expect("a flow-carrying edge lies in its block")
+                            })
                             .collect()
                     })
                     .collect()
             })
             .collect();
 
-        let target_rows: Vec<usize> = items
+        let output_rows: Vec<usize> = target_rows
             .iter()
-            .enumerate()
-            .map(|(j, it)| match it.instance.target {
-                Target::Node(v) => node_off[j] + v,
-                Target::Graph => unreachable!("fusable() requires node targets"),
+            .map(|&v| {
+                blocks
+                    .output_row(v)
+                    .expect("every target is a block output")
             })
             .collect();
 
         let build_loss = || {
-            let masks = layer_masks();
+            let masks = layer_masks(&block_incidence, &block_edge_job);
             let logits = model
-                .node_logits(&mp, &x, Some(&masks))
-                .gather_rows(&target_rows);
+                .forward_blocks(&blocks, &norms, &x, Some(&masks))
+                .gather_rows(&output_rows);
             let logp = logits.log_softmax_rows();
             let mut total: Option<Tensor> = None;
             for (j, it) in items.iter().enumerate() {
@@ -334,31 +367,25 @@ impl BatchedOptimizer {
         };
 
         #[cfg(debug_assertions)]
-        {
-            let diags = revelio_analysis::audit_tape_with_params(&build_loss(), &params);
-            assert!(
-                diags.is_empty(),
-                "batched REVELIO: static tape audit found {} defect(s):\n{}",
-                diags.len(),
-                diags
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
+        crate::revelio::assert_audit_clean(
+            "batched REVELIO: static tape audit",
+            &revelio_analysis::audit_tape_with_params(&build_loss(), &params),
+        );
 
-        let mut opt = Adam::new(params, cfg.lr);
+        let mut opt = Adam::new(params.clone(), cfg.lr);
         for _ in 0..cfg.epochs {
             opt.zero_grad();
-            build_loss().backward();
+            build_loss().backward_to(&params);
             opt.step();
         }
 
         // Per-job readout: slice the stacked state back apart and apply the
         // same score mapping as the serial path.
         let learned_all = flow_scores().to_vec();
-        let union_mask_vals: Vec<Vec<f32>> = layer_masks().iter().map(Tensor::to_vec).collect();
+        let union_mask_vals: Vec<Vec<f32>> = layer_masks(&union_incidence, &full_edge_job)
+            .iter()
+            .map(Tensor::to_vec)
+            .collect();
         let out = items
             .iter()
             .enumerate()

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use revelio_gnn::{Gnn, Instance};
-use revelio_graph::{FlowIndex, TooManyFlows};
+use revelio_graph::{Blocks, FlowIndex, TooManyFlows};
 use revelio_tensor::{uniform, Adam, BinCsr, Optimizer, Tensor};
 use revelio_trace::{EventKind, Phase, TraceHandle};
 
@@ -94,8 +94,11 @@ struct MaskModel {
     mask_params: Tensor,
     /// One `[1, 1]` weight per layer (empty when `LayerWeight::None`).
     layer_weights: Vec<Tensor>,
-    /// Per layer, `|E| × k` incidence over the selected flows.
+    /// Per layer, `|E| × k` incidence over the selected flows (readout).
     incidence: Vec<Arc<BinCsr>>,
+    /// Per layer, the rows of `incidence` at block `l`'s edges: the only
+    /// masks an optimize epoch needs.
+    block_incidence: Vec<Arc<BinCsr>>,
     /// Selected flow ids (identity when no preselection ran).
     selected: Vec<u32>,
     squash: MaskSquash,
@@ -116,12 +119,24 @@ impl MaskModel {
         }
     }
 
-    /// `ω[E] = σ(I · squash(M) ⊙ act(w))` (Eqs. 4, 5, 7).
+    /// `ω[E] = σ(I · squash(M) ⊙ act(w))` (Eqs. 4, 5, 7) over every layer
+    /// edge.
     fn layer_masks(&self) -> Vec<Tensor> {
+        self.masks_over(&self.incidence)
+    }
+
+    /// The same masks at the block edges only, bit for bit.
+    fn block_masks(&self) -> Vec<Tensor> {
+        self.masks_over(&self.block_incidence)
+    }
+
+    fn masks_over(&self, incidence: &[Arc<BinCsr>]) -> Vec<Tensor> {
         let omega_f = self.flow_scores();
-        (0..self.incidence.len())
-            .map(|l| {
-                let s = omega_f.sp_matvec(&self.incidence[l]);
+        incidence
+            .iter()
+            .enumerate()
+            .map(|(l, inc)| {
+                let s = omega_f.sp_matvec(inc);
                 // Fused scale + sigmoid: bit-identical to the unfused
                 // `s.mul(&w.gather_rows(..)).sigmoid()` chain but a single
                 // pass over the edge column per epoch.
@@ -133,6 +148,30 @@ impl MaskModel {
             })
             .collect()
     }
+}
+
+/// Panics with every finding when a debug-build audit reports any.
+#[cfg(debug_assertions)]
+pub(crate) fn assert_audit_clean(what: &str, diags: &[revelio_analysis::Diagnostic]) {
+    assert!(
+        diags.is_empty(),
+        "{what} found {} defect(s):\n{}",
+        diags.len(),
+        diags
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// Each layer's incidence restricted to the rows of its block's edges.
+pub(crate) fn block_rows(incidence: &[Arc<BinCsr>], blocks: &Blocks) -> Vec<Arc<BinCsr>> {
+    incidence
+        .iter()
+        .enumerate()
+        .map(|(l, inc)| Arc::new(inc.select_rows(blocks.layer(l).edges())))
+        .collect()
 }
 
 impl Revelio {
@@ -174,11 +213,21 @@ impl Revelio {
 
     /// Builds the mask model, optionally preselecting top-k flows via a
     /// one-shot gradient-saliency pass (§VI future work).
-    fn build_mask_model(&self, model: &Gnn, instance: &Instance, index: &FlowIndex) -> MaskModel {
+    fn build_mask_model(
+        &self,
+        model: &Gnn,
+        instance: &Instance,
+        index: &FlowIndex,
+        blocks: &Blocks,
+        norms: &[Tensor],
+    ) -> MaskModel {
         let cfg = &self.cfg;
         let layers = index.num_layers();
         let ne = instance.mp.layer_edge_count();
         let nf = index.num_flows();
+        let full: Vec<Arc<BinCsr>> = (0..layers)
+            .map(|l| Arc::clone(index.incidence(l)))
+            .collect();
 
         let selected: Vec<u32> = match cfg.preselect {
             Some(k) if nf > k => {
@@ -187,19 +236,18 @@ impl Revelio {
                 let probe = MaskModel {
                     mask_params: Tensor::zeros(nf, 1).requires_grad(),
                     layer_weights: self.fresh_layer_weights(layers),
-                    incidence: (0..layers)
-                        .map(|l| Arc::clone(index.incidence(l)))
-                        .collect(),
+                    block_incidence: block_rows(&full, blocks),
+                    incidence: full.clone(),
                     selected: (0..nf as u32).collect(),
                     squash: cfg.squash,
                     layer_weight: cfg.layer_weight,
                 };
-                let masks = probe.layer_masks();
+                let masks = probe.block_masks();
                 let lp_c = model
-                    .target_logits(&instance.mp, &instance.x, Some(&masks), instance.target)
+                    .block_target_logits(blocks, norms, &instance.x, Some(&masks), instance.target)
                     .log_softmax_rows()
                     .slice_cols(instance.class, instance.class + 1);
-                lp_c.neg().backward();
+                lp_c.neg().backward_to(&probe.params());
                 let grad = probe.mask_params.grad_vec();
                 let mut order: Vec<u32> = (0..nf as u32).collect();
                 order.sort_by(|&a, &b| grad[b as usize].abs().total_cmp(&grad[a as usize].abs()));
@@ -212,9 +260,7 @@ impl Revelio {
 
         // Incidence restricted to the selected flows (columns renumbered).
         let incidence: Vec<Arc<BinCsr>> = if selected.len() == nf {
-            (0..layers)
-                .map(|l| Arc::clone(index.incidence(l)))
-                .collect()
+            full
         } else {
             (0..layers)
                 .map(|l| {
@@ -231,6 +277,7 @@ impl Revelio {
         MaskModel {
             mask_params: uniform(selected.len(), 1, 0.1, cfg.seed).requires_grad(),
             layer_weights: self.fresh_layer_weights(layers),
+            block_incidence: block_rows(&incidence, blocks),
             incidence,
             selected,
             squash: cfg.squash,
@@ -346,9 +393,19 @@ impl Revelio {
                 )
             }
         };
-        let ne = instance.mp.layer_edge_count();
+        // The target's receptive-field blocks: every optimize epoch runs the
+        // masked forward over these edges only. Edges outside them carry no
+        // message the target can see, so scores are bit-identical to a
+        // full-graph epoch (DESIGN §13).
+        let blocks = Blocks::for_target(&instance.mp, layers, flow_target);
+        let norms = Gnn::block_norms(&instance.mp, &blocks);
+        #[cfg(debug_assertions)]
+        assert_audit_clean(
+            "REVELIO: block audit",
+            &revelio_analysis::audit_blocks(&instance.mp, &index, &blocks),
+        );
 
-        let mask_model = self.build_mask_model(model, instance, &index);
+        let mask_model = self.build_mask_model(model, instance, &index, &blocks, &norms);
 
         // Warm start: seed the parameters from a previously converged mask,
         // but only when it is aligned with this run's exact flow selection
@@ -378,23 +435,33 @@ impl Revelio {
             }
         }
 
-        let mut opt = Adam::new(mask_model.params(), cfg.lr);
+        let params = mask_model.params();
+        let mut opt = Adam::new(params.clone(), cfg.lr);
 
         // "Skip layer edges unused by GNN layers" (Eq. 8): only layer edges
         // that carry at least one (selected) flow enter the sparsity penalty.
-        let used: Vec<Vec<usize>> = (0..layers)
-            .map(|l| {
-                (0..ne)
-                    .filter(|&e| !mask_model.incidence[l].row(e).is_empty())
+        // Positions are block-local; every such edge lies in its block, in
+        // the same ascending order.
+        let used: Vec<Vec<usize>> = mask_model
+            .block_incidence
+            .iter()
+            .map(|inc| {
+                (0..inc.rows())
+                    .filter(|&p| !inc.row(p).is_empty())
                     .collect()
             })
             .collect();
 
         let build_loss = || {
-            let masks = mask_model.layer_masks();
+            let masks = mask_model.block_masks();
 
-            let logits =
-                model.target_logits(&instance.mp, &instance.x, Some(&masks), instance.target);
+            let logits = model.block_target_logits(
+                &blocks,
+                &norms,
+                &instance.x,
+                Some(&masks),
+                instance.target,
+            );
             let logp = logits.log_softmax_rows();
             let lp_c = logp.slice_cols(instance.class, instance.class + 1);
             let objective = match cfg.objective {
@@ -436,20 +503,10 @@ impl Revelio {
         // any training step: shape consistency, numeric-stability patterns,
         // and that every mask parameter is reachable from the loss.
         #[cfg(debug_assertions)]
-        {
-            let diags =
-                revelio_analysis::audit_tape_with_params(&build_loss(), &mask_model.params());
-            assert!(
-                diags.is_empty(),
-                "REVELIO: static tape audit found {} defect(s):\n{}",
-                diags.len(),
-                diags
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
+        assert_audit_clean(
+            "REVELIO: static tape audit",
+            &revelio_analysis::audit_tape_with_params(&build_loss(), &params),
+        );
 
         // Deadline-bounded runs track the best (lowest-loss) parameters so
         // an early stop returns the best mask seen, not the latest one.
@@ -478,7 +535,9 @@ impl Revelio {
             }
             opt.zero_grad();
             let loss = build_loss();
-            loss.backward();
+            // Gradients for the mask parameters only: the model's weights
+            // and the instance's features are constants here.
+            loss.backward_to(&params);
             // The loss corresponds to the parameters *before* the step.
             let loss_val = if track_best || trace_epochs || warm_applied {
                 Some(loss.item())

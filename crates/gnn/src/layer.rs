@@ -3,9 +3,12 @@
 //! Each layer implements the three steps of §III — message calculation,
 //! aggregation, update — with an optional `[|E|, 1]` layer-edge mask
 //! multiplied into the message step (Eq. 6). Layer edges are those of
-//! [`MpGraph`]: the stored directed edges plus one self-loop per node.
+//! [`MpGraph`]: the stored directed edges plus one self-loop per node. A
+//! layer runs over either the full graph's edge arrays or one
+//! receptive-field block's ([`revelio_graph::Blocks`]), through the same
+//! code.
 
-use revelio_graph::MpGraph;
+use revelio_graph::{LayerEdges, MpGraph};
 use revelio_tensor::{glorot_uniform, Tensor};
 
 /// A single GNN layer.
@@ -132,9 +135,9 @@ impl Layer {
         }
     }
 
-    /// Forward pass: `h` is `[n, in_dim]`, `mask` (if given) is `[|E|, 1]`
-    /// over the layer edges of `mp`, `gcn_norm` is the precomputed GCN
-    /// normalisation (ignored by the other architectures).
+    /// Forward pass over every node: `h` is `[n, in_dim]`, `mask` (if
+    /// given) is `[|E|, 1]` over the layer edges of `mp`, `gcn_norm` is the
+    /// precomputed GCN normalisation (ignored by the other architectures).
     pub fn forward(
         &self,
         mp: &MpGraph,
@@ -142,26 +145,35 @@ impl Layer {
         mask: Option<&Tensor>,
         gcn_norm: &Tensor,
     ) -> Tensor {
-        self.forward_fused(mp, h, mask, gcn_norm, None)
+        self.forward_edges(mp.layer_edges(), h, mask, gcn_norm, None)
     }
 
-    /// [`Layer::forward`] with an optional trailing activation fused into
-    /// the final bias add: with `trailing_slope = Some(s)` the result is
-    /// bit-identical to `forward(..).leaky_relu(s)` but saves the extra
-    /// full-matrix passes per epoch of mask optimization.
-    pub fn forward_fused(
+    /// The one message-passing implementation, over the full graph's edge
+    /// arrays or a receptive-field block's.
+    ///
+    /// `h` holds one row per input row of `edges`; the result holds one row
+    /// per output row. `mask` and `gcn_norm` are `[edges.len(), 1]`, in the
+    /// order of `edges`. Every output row sums its in-edges in ascending
+    /// edge order whatever other rows exist, so a block's output rows are
+    /// bit-identical to the same nodes' rows of a full-graph forward.
+    ///
+    /// With `trailing_slope = Some(s)` the result is bit-identical to
+    /// `forward_edges(..).leaky_relu(s)` but fuses the activation into the
+    /// final bias add, saving the extra full-matrix passes per epoch of mask
+    /// optimization.
+    pub fn forward_edges(
         &self,
-        mp: &MpGraph,
+        edges: LayerEdges<'_>,
         h: &Tensor,
         mask: Option<&Tensor>,
         gcn_norm: &Tensor,
         trailing_slope: Option<f32>,
     ) -> Tensor {
-        let n = mp.num_nodes();
+        let n = edges.num_outputs;
         if let Some(m) = mask {
             assert_eq!(
                 m.shape(),
-                (mp.layer_edge_count(), 1),
+                (edges.len(), 1),
                 "layer-edge mask has wrong shape"
             );
         }
@@ -172,11 +184,11 @@ impl Layer {
         match self {
             Layer::Gcn { weight, bias } => {
                 let hw = h.matmul(weight);
-                let mut msgs = hw.gather_rows(mp.src()).mul_col_broadcast(gcn_norm);
+                let mut msgs = hw.gather_rows(edges.src).mul_col_broadcast(gcn_norm);
                 if let Some(m) = mask {
                     msgs = msgs.mul_col_broadcast(m);
                 }
-                finish(msgs.scatter_add_rows(mp.dst(), n), bias)
+                finish(msgs.scatter_add_rows(edges.dst, n), bias)
             }
             Layer::Gin { w1, b1, w2, b2 } => {
                 // The first MLP matmul commutes with the (linear) sum
@@ -184,11 +196,11 @@ impl Layer {
                 // then `out_dim` wide instead of `in_dim` wide — a large
                 // saving on high-dimensional inputs (e.g. Citeseer's 3703).
                 let hw = h.matmul(w1);
-                let mut msgs = hw.gather_rows(mp.src());
+                let mut msgs = hw.gather_rows(edges.src);
                 if let Some(m) = mask {
                     msgs = msgs.mul_col_broadcast(m);
                 }
-                let agg = msgs.scatter_add_rows(mp.dst(), n);
+                let agg = msgs.scatter_add_rows(edges.dst, n);
                 // Leaky slope avoids whole-layer dying-ReLU collapse, which
                 // full-batch training on constant-feature graphs provokes
                 // (the original uses batch norm for the same reason).
@@ -210,15 +222,15 @@ impl Layer {
                     let a_src = hw_k.matmul(&att_src[k]);
                     let a_dst = hw_k.matmul(&att_dst[k]);
                     let logits = a_src
-                        .gather_rows(mp.src())
-                        .add(&a_dst.gather_rows(mp.dst()))
+                        .gather_rows(edges.src)
+                        .add(&a_dst.gather_rows(edges.dst_input))
                         .leaky_relu(0.2);
-                    let att = logits.segment_softmax(mp.dst());
-                    let mut msgs = hw_k.gather_rows(mp.src()).mul_col_broadcast(&att);
+                    let att = logits.segment_softmax(edges.dst);
+                    let mut msgs = hw_k.gather_rows(edges.src).mul_col_broadcast(&att);
                     if let Some(m) = mask {
                         msgs = msgs.mul_col_broadcast(m);
                     }
-                    let agg = msgs.scatter_add_rows(mp.dst(), n);
+                    let agg = msgs.scatter_add_rows(edges.dst, n);
                     head_outs = Some(match head_outs {
                         None => agg,
                         Some(prev) => {

@@ -10,7 +10,8 @@
 //!
 //! Models follow the paper's evaluation setup: three layers, GAT with eight
 //! attention heads, node-classification logits straight from the last layer,
-//! graph-classification via mean-pool readout plus a linear head.
+//! graph-classification via a sum-pool readout (realised as mean × n) plus a
+//! linear head.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 

@@ -1,6 +1,6 @@
 //! The [`Gnn`] model: a stack of message-passing layers with task heads.
 
-use revelio_graph::{Graph, MpGraph, Target};
+use revelio_graph::{Blocks, Graph, LayerEdges, MpGraph, Target};
 use revelio_tensor::{glorot_uniform, Tensor};
 
 use crate::layer::Layer;
@@ -84,7 +84,7 @@ impl Gnn {
         let mut layers = Vec::with_capacity(cfg.num_layers);
         // For node classification the last GNN layer maps to classes; for
         // graph classification all layers map to hidden and a linear readout
-        // follows the mean-pool.
+        // follows the sum-pool.
         let last_is_logits = cfg.task == Task::NodeClassification;
         for l in 0..cfg.num_layers {
             let in_dim = if l == 0 { cfg.in_dim } else { cfg.hidden_dim };
@@ -159,6 +159,19 @@ impl Gnn {
         Tensor::from_vec(mp.gcn_norm(), mp.layer_edge_count(), 1)
     }
 
+    /// GCN normalisation of each block's edges: the full graph's per-edge
+    /// values gathered at the block's edges, never recomputed from block
+    /// degrees. Built once per explained instance.
+    pub fn block_norms(mp: &MpGraph, blocks: &Blocks) -> Vec<Tensor> {
+        let norm = mp.gcn_norm();
+        (0..blocks.num_layers())
+            .map(|l| {
+                let edges = blocks.layer(l).edges();
+                Tensor::from_vec(edges.iter().map(|&e| norm[e]).collect(), edges.len(), 1)
+            })
+            .collect()
+    }
+
     /// Runs all message-passing layers, returning every layer's
     /// post-activation output (`hidden` for intermediate layers; the last
     /// entry is raw logits for node classification or the final hidden
@@ -171,10 +184,42 @@ impl Gnn {
         x: &Tensor,
         masks: Option<&[Tensor]>,
     ) -> Vec<Tensor> {
+        let norm = Self::norm_tensor(mp);
+        self.run_layers(x, masks, |_| (mp.layer_edges(), &norm))
+    }
+
+    /// The last layer's output over the receptive-field `blocks`: one row
+    /// per node of [`Blocks::outputs`], bit-identical to those nodes' rows
+    /// of [`Gnn::forward_layers`] when `masks[l]` holds the full masks'
+    /// values at block `l`'s edges. `norms` comes from [`Gnn::block_norms`].
+    pub fn forward_blocks(
+        &self,
+        blocks: &Blocks,
+        norms: &[Tensor],
+        x: &Tensor,
+        masks: Option<&[Tensor]>,
+    ) -> Tensor {
+        assert_eq!(
+            blocks.num_layers(),
+            self.cfg.num_layers,
+            "one block per layer required"
+        );
+        self.run_layers(x, masks, |l| (blocks.layer(l).layer_edges(), &norms[l]))
+            .pop()
+            .expect("at least one layer")
+    }
+
+    /// The layer stack over the edge arrays (and GCN norms) `edges(l)`
+    /// supplies for each layer.
+    fn run_layers<'a>(
+        &self,
+        x: &Tensor,
+        masks: Option<&[Tensor]>,
+        edges: impl Fn(usize) -> (LayerEdges<'a>, &'a Tensor),
+    ) -> Vec<Tensor> {
         if let Some(ms) = masks {
             assert_eq!(ms.len(), self.cfg.num_layers, "one mask per layer required");
         }
-        let norm = Self::norm_tensor(mp);
         let mut outs = Vec::with_capacity(self.cfg.num_layers);
         let mut h = x.clone();
         for (l, layer) in self.layers.iter().enumerate() {
@@ -183,14 +228,12 @@ impl Gnn {
             let keep_raw = is_last && self.cfg.task == Task::NodeClassification;
             // Leaky activation between layers: plain ReLU can kill every
             // unit at once under full-batch training (dying-ReLU), freezing
-            // the model at the class prior.
-            let out = if keep_raw {
-                layer.forward(mp, &h, mask, &norm)
-            } else {
-                // Fused into the layer's final bias add — bit-identical to
-                // `forward(..).leaky_relu(0.01)` but one pass over the matrix.
-                layer.forward_fused(mp, &h, mask, &norm, Some(0.01))
-            };
+            // the model at the class prior. It is fused into the layer's
+            // final bias add — bit-identical to `.leaky_relu(0.01)` but one
+            // pass over the matrix.
+            let (layer_edges, norm) = edges(l);
+            let slope = (!keep_raw).then_some(0.01);
+            let out = layer.forward_edges(layer_edges, &h, mask, norm, slope);
             outs.push(out.clone());
             h = out;
         }
@@ -205,13 +248,18 @@ impl Gnn {
             .expect("at least one layer")
     }
 
-    /// Graph-classification logits `[1, C]` (mean-pool readout).
+    /// Graph-classification logits `[1, C]` (sum-pool readout).
     pub fn graph_logits(&self, mp: &MpGraph, x: &Tensor, masks: Option<&[Tensor]>) -> Tensor {
         assert_eq!(self.cfg.task, Task::GraphClassification);
         let h = self
             .forward_layers(mp, x, masks)
             .pop()
             .expect("at least one layer");
+        self.pool_logits(&h)
+    }
+
+    /// The graph readout over the final node representations `h`.
+    fn pool_logits(&self, h: &Tensor) -> Tensor {
         let (w, b) = self.readout.as_ref().expect("graph task has a readout");
         // Sum pooling (realised as mean × n): standard for GIN-style graph
         // classification and markedly easier to optimise than mean pooling
@@ -234,6 +282,29 @@ impl Gnn {
                 self.node_logits(mp, x, masks).gather_rows(&[v])
             }
             (Task::GraphClassification, Target::Graph) => self.graph_logits(mp, x, masks),
+            (task, target) => panic!("target {target:?} does not match task {task:?}"),
+        }
+    }
+
+    /// [`Gnn::target_logits`] over the target's receptive-field `blocks`
+    /// ([`Blocks::for_target`]), with `masks[l]` over block `l`'s edges:
+    /// bit-identical to the full-graph logits when the masks agree on the
+    /// block edges, since no other edge reaches the target.
+    pub fn block_target_logits(
+        &self,
+        blocks: &Blocks,
+        norms: &[Tensor],
+        x: &Tensor,
+        masks: Option<&[Tensor]>,
+        target: Target,
+    ) -> Tensor {
+        let out = || self.forward_blocks(blocks, norms, x, masks);
+        match (self.cfg.task, target) {
+            (Task::NodeClassification, Target::Node(v)) => {
+                let row = blocks.output_row(v).expect("the target is a block output");
+                out().gather_rows(&[row])
+            }
+            (Task::GraphClassification, Target::Graph) => self.pool_logits(&out()),
             (task, target) => panic!("target {target:?} does not match task {task:?}"),
         }
     }

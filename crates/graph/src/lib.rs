@@ -10,16 +10,20 @@
 //! * [`FlowIndex`] — enumeration of all **message flows** (length-`L`
 //!   layer-edge paths, §III of the paper) together with the sparse
 //!   flow-incidence matrices `I` of Eq. 7;
+//! * [`Blocks`] — the receptive-field blocks of an explained target: per
+//!   layer, only the layer edges whose messages can reach it;
 //! * [`khop_subgraph`] — extraction of the `L`-hop computation subgraph
 //!   around a target node, on which node-classification explanations run.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+mod blocks;
 mod flows;
 mod graph;
 mod mp;
 mod subgraph;
 
+pub use blocks::{Block, Blocks, LayerEdges};
 pub use flows::{count_flows, CappedFlows, FlowIndex, FlowPartsError, Target, TooManyFlows};
 pub use graph::{Graph, GraphBuilder};
 pub use mp::MpGraph;

@@ -1,6 +1,7 @@
 //! The message-passing view of a graph: the self-loop-augmented layer-edge
 //! set shared by all layers of an `L`-layer GNN.
 
+use crate::blocks::LayerEdges;
 use crate::graph::Graph;
 
 /// Gather/scatter-ready layer-edge arrays for message passing.
@@ -82,6 +83,16 @@ impl MpGraph {
     /// Destination node of each layer edge.
     pub fn dst(&self) -> &[usize] {
         &self.dst
+    }
+
+    /// The full graph's edge arrays, for a layer that runs over every node.
+    pub fn layer_edges(&self) -> LayerEdges<'_> {
+        LayerEdges {
+            src: &self.src,
+            dst: &self.dst,
+            dst_input: &self.dst,
+            num_outputs: self.num_nodes,
+        }
     }
 
     /// Whether layer edge `e` is a self-loop.

@@ -16,7 +16,9 @@
 //!
 //! Tensors are 2-D (`rows × cols`) and reference-counted; calling
 //! [`Tensor::backward`] on a scalar output accumulates gradients into every
-//! reachable tensor created with `requires_grad = true`.
+//! reachable tensor created with `requires_grad = true`, while
+//! [`Tensor::backward_to`] differentiates only toward the tensors it lists
+//! (an explainer's mask, never the model it explains).
 //!
 //! # Example
 //!

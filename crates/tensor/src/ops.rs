@@ -153,6 +153,11 @@ impl Op {
 
     /// The tensors this operation reads (exposed for static tape analysis).
     pub fn parents(&self) -> Vec<Tensor> {
+        self.operands().into_iter().flatten().cloned().collect()
+    }
+
+    /// The operands by reference: the first, and the second of a binary op.
+    pub(crate) fn operands(&self) -> [Option<&Tensor>; 2] {
         match self {
             Op::Add(a, b)
             | Op::Sub(a, b)
@@ -165,7 +170,7 @@ impl Op {
             | Op::MulColBroadcast(a, b)
             | Op::ConcatCols(a, b)
             | Op::SigmoidScale(a, b)
-            | Op::BiasLeakyRelu(a, b, _) => vec![a.clone(), b.clone()],
+            | Op::BiasLeakyRelu(a, b, _) => [Some(a), Some(b)],
             Op::Neg(a)
             | Op::AddScalar(a, _)
             | Op::MulScalar(a, _)
@@ -187,41 +192,72 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::SegmentSoftmax(a, _)
             | Op::SpMatVec(_, a)
-            | Op::SoftmaxXent(a, _) => vec![a.clone()],
+            | Op::SoftmaxXent(a, _) => [Some(a), None],
         }
     }
 
-    /// Routes `grad_out` (the gradient w.r.t. `out`) to the parents.
-    pub(crate) fn backward(&self, out: &Tensor, grad_out: &[f32]) {
+    /// Routes `grad_out` (the gradient w.r.t. `out`) to the operands for
+    /// which `need` holds; the others get nothing and cost nothing. Each
+    /// routed gradient has the same bits whichever operands are needed.
+    pub(crate) fn backward(&self, out: &Tensor, grad_out: &[f32], need: &dyn Fn(&Tensor) -> bool) {
+        if !self.operands().into_iter().flatten().any(need) {
+            return;
+        }
+        // Past this point a unary op's operand is needed; binary ops still
+        // check each side.
         match self {
             Op::Add(a, b) => {
-                a.accumulate_grad(grad_out);
-                b.accumulate_grad(grad_out);
+                if need(a) {
+                    a.accumulate_grad(grad_out);
+                }
+                if need(b) {
+                    b.accumulate_grad(grad_out);
+                }
             }
             Op::Sub(a, b) => {
-                a.accumulate_grad(grad_out);
-                let neg: Vec<f32> = grad_out.iter().map(|g| -g).collect();
-                b.accumulate_grad(&neg);
+                if need(a) {
+                    a.accumulate_grad(grad_out);
+                }
+                if need(b) {
+                    let neg: Vec<f32> = grad_out.iter().map(|g| -g).collect();
+                    b.accumulate_grad(&neg);
+                }
             }
             Op::Mul(a, b) => {
-                let (ad, bd) = (a.data(), b.data());
-                let ga: Vec<f32> = grad_out.iter().zip(bd.iter()).map(|(g, b)| g * b).collect();
-                let gb: Vec<f32> = grad_out.iter().zip(ad.iter()).map(|(g, a)| g * a).collect();
-                drop((ad, bd));
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(a) {
+                    let ga: Vec<f32> = {
+                        let bd = b.data();
+                        grad_out.iter().zip(bd.iter()).map(|(g, b)| g * b).collect()
+                    };
+                    a.accumulate_grad(&ga);
+                }
+                if need(b) {
+                    let gb: Vec<f32> = {
+                        let ad = a.data();
+                        grad_out.iter().zip(ad.iter()).map(|(g, a)| g * a).collect()
+                    };
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::Div(a, b) => {
-                let (ad, bd) = (a.data(), b.data());
-                let ga: Vec<f32> = grad_out.iter().zip(bd.iter()).map(|(g, b)| g / b).collect();
-                let gb: Vec<f32> = grad_out
-                    .iter()
-                    .zip(ad.iter().zip(bd.iter()))
-                    .map(|(g, (a, b))| -g * a / (b * b))
-                    .collect();
-                drop((ad, bd));
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(a) {
+                    let ga: Vec<f32> = {
+                        let bd = b.data();
+                        grad_out.iter().zip(bd.iter()).map(|(g, b)| g / b).collect()
+                    };
+                    a.accumulate_grad(&ga);
+                }
+                if need(b) {
+                    let gb: Vec<f32> = {
+                        let (ad, bd) = (a.data(), b.data());
+                        grad_out
+                            .iter()
+                            .zip(ad.iter().zip(bd.iter()))
+                            .map(|(g, (a, b))| -g * a / (b * b))
+                            .collect()
+                    };
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::Neg(a) => {
                 let g: Vec<f32> = grad_out.iter().map(|g| -g).collect();
@@ -235,63 +271,89 @@ impl Op {
             Op::MatMul(a, b) => {
                 let (m, k) = a.shape();
                 let (_, n) = b.shape();
-                // ga = g . b^T  (m x n) . (n x k)
-                let ga = kernels::matmul_nt(grad_out, m, n, &b.data(), k);
-                // gb = a^T . g  (k x m) . (m x n)
-                let gb = kernels::matmul_tn(&a.data(), m, k, grad_out, n);
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(a) {
+                    // ga = g . b^T  (m x n) . (n x k)
+                    let ga = kernels::matmul_nt(grad_out, m, n, &b.data(), k);
+                    a.accumulate_grad(&ga);
+                }
+                if need(b) {
+                    // gb = a^T . g  (k x m) . (m x n)
+                    let gb = kernels::matmul_tn(&a.data(), m, k, grad_out, n);
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::MatMulNt(a, b) => {
                 // out = a . b^T with a [m,n], b [k,n]; grad_out is [m,k].
                 let (m, n) = a.shape();
                 let (k, _) = b.shape();
-                // ga = g . b  (m x k) . (k x n)
-                let ga = kernels::matmul_nn(grad_out, m, k, &b.data(), n);
-                // gb = g^T . a  (k x m) . (m x n)
-                let gb = kernels::matmul_tn(grad_out, m, k, &a.data(), n);
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(a) {
+                    // ga = g . b  (m x k) . (k x n)
+                    let ga = kernels::matmul_nn(grad_out, m, k, &b.data(), n);
+                    a.accumulate_grad(&ga);
+                }
+                if need(b) {
+                    // gb = g^T . a  (k x m) . (m x n)
+                    let gb = kernels::matmul_tn(grad_out, m, k, &a.data(), n);
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::MatMulTn(a, b) => {
                 // out = a^T . b with a [m,k], b [m,n]; grad_out is [k,n].
                 let (m, k) = a.shape();
                 let (_, n) = b.shape();
-                // ga = b . g^T  (m x n) . (n x k)
-                let ga = kernels::matmul_nt(&b.data(), m, n, grad_out, k);
-                // gb = a . g  (m x k) . (k x n)
-                let gb = kernels::matmul_nn(&a.data(), m, k, grad_out, n);
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(a) {
+                    // ga = b . g^T  (m x n) . (n x k)
+                    let ga = kernels::matmul_nt(&b.data(), m, n, grad_out, k);
+                    a.accumulate_grad(&ga);
+                }
+                if need(b) {
+                    // gb = a . g  (m x k) . (k x n)
+                    let gb = kernels::matmul_nn(&a.data(), m, k, grad_out, n);
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::AddRowBroadcast(a, b) => {
-                a.accumulate_grad(grad_out);
-                let (m, n) = a.shape();
-                let mut gb = vec![0.0f32; n];
-                for i in 0..m {
-                    for j in 0..n {
-                        gb[j] += grad_out[i * n + j];
-                    }
+                if need(a) {
+                    a.accumulate_grad(grad_out);
                 }
-                b.accumulate_grad(&gb);
+                if need(b) {
+                    let (m, n) = a.shape();
+                    let mut gb = vec![0.0f32; n];
+                    for i in 0..m {
+                        for j in 0..n {
+                            gb[j] += grad_out[i * n + j];
+                        }
+                    }
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::MulColBroadcast(a, b) => {
                 let (m, n) = a.shape();
-                let ad = a.data();
-                let bd = b.data();
-                let mut ga = vec![0.0f32; m * n];
-                let mut gb = vec![0.0f32; m];
-                for i in 0..m {
-                    let s = bd[i];
-                    for j in 0..n {
-                        let g = grad_out[i * n + j];
-                        ga[i * n + j] = g * s;
-                        gb[i] += g * ad[i * n + j];
+                if need(a) {
+                    let mut ga = vec![0.0f32; m * n];
+                    {
+                        let bd = b.data();
+                        for i in 0..m {
+                            let s = bd[i];
+                            for j in 0..n {
+                                ga[i * n + j] = grad_out[i * n + j] * s;
+                            }
+                        }
                     }
+                    a.accumulate_grad(&ga);
                 }
-                drop((ad, bd));
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(b) {
+                    let mut gb = vec![0.0f32; m];
+                    {
+                        let ad = a.data();
+                        for i in 0..m {
+                            for j in 0..n {
+                                gb[i] += grad_out[i * n + j] * ad[i * n + j];
+                            }
+                        }
+                    }
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::Relu(a) => {
                 let ad = a.data();
@@ -443,14 +505,21 @@ impl Op {
                 let m = a.rows();
                 let (na, nb) = (a.cols(), b.cols());
                 let n = na + nb;
-                let mut ga = vec![0.0f32; m * na];
-                let mut gb = vec![0.0f32; m * nb];
-                for i in 0..m {
-                    ga[i * na..(i + 1) * na].copy_from_slice(&grad_out[i * n..i * n + na]);
-                    gb[i * nb..(i + 1) * nb].copy_from_slice(&grad_out[i * n + na..(i + 1) * n]);
+                if need(a) {
+                    let mut ga = vec![0.0f32; m * na];
+                    for i in 0..m {
+                        ga[i * na..(i + 1) * na].copy_from_slice(&grad_out[i * n..i * n + na]);
+                    }
+                    a.accumulate_grad(&ga);
                 }
-                a.accumulate_grad(&ga);
-                b.accumulate_grad(&gb);
+                if need(b) {
+                    let mut gb = vec![0.0f32; m * nb];
+                    for i in 0..m {
+                        gb[i * nb..(i + 1) * nb]
+                            .copy_from_slice(&grad_out[i * n + na..(i + 1) * n]);
+                    }
+                    b.accumulate_grad(&gb);
+                }
             }
             Op::SegmentSoftmax(a, segs) => {
                 // Per column c and segment S: ds_i = s_i * (g_i - sum_{j in S} s_j g_j).
@@ -489,51 +558,68 @@ impl Op {
                 // y = σ(a ⊙ w): dy/da = y(1-y)·w, dy/dw = y(1-y)·a, with the
                 // broadcast weight gradient summed in ascending element order
                 // (matching gather_rows' backward on the unfused chain).
-                let od = out.data();
-                let ad = a.data();
-                let wd = w.data();
-                let mut ga = vec![0.0f32; a.len()];
-                if w.len() == 1 {
-                    let wv = wd[0];
-                    let mut gw = 0.0f32;
-                    for i in 0..a.len() {
-                        let dy = grad_out[i] * od[i] * (1.0 - od[i]);
-                        ga[i] = dy * wv;
-                        gw += dy * ad[i];
-                    }
-                    drop((od, ad, wd));
+                let dy: Vec<f32> = {
+                    let od = out.data();
+                    grad_out
+                        .iter()
+                        .zip(od.iter())
+                        .map(|(g, y)| g * y * (1.0 - y))
+                        .collect()
+                };
+                if need(a) {
+                    let ga: Vec<f32> = {
+                        let wd = w.data();
+                        if w.len() == 1 {
+                            dy.iter().map(|d| d * wd[0]).collect()
+                        } else {
+                            dy.iter().zip(wd.iter()).map(|(d, w)| d * w).collect()
+                        }
+                    };
                     a.accumulate_grad(&ga);
-                    w.accumulate_grad(&[gw]);
-                } else {
-                    let mut gw = vec![0.0f32; a.len()];
-                    for i in 0..a.len() {
-                        let dy = grad_out[i] * od[i] * (1.0 - od[i]);
-                        ga[i] = dy * wd[i];
-                        gw[i] = dy * ad[i];
+                }
+                if need(w) {
+                    let ad = a.data();
+                    if w.len() == 1 {
+                        let mut gw = 0.0f32;
+                        for (d, x) in dy.iter().zip(ad.iter()) {
+                            gw += d * x;
+                        }
+                        drop(ad);
+                        w.accumulate_grad(&[gw]);
+                    } else {
+                        let gw: Vec<f32> = dy.iter().zip(ad.iter()).map(|(d, x)| d * x).collect();
+                        drop(ad);
+                        w.accumulate_grad(&gw);
                     }
-                    drop((od, ad, wd));
-                    a.accumulate_grad(&ga);
-                    w.accumulate_grad(&gw);
                 }
             }
             Op::BiasLeakyRelu(a, bias, slope) => {
                 // With slope >= 0, `out > 0` iff the pre-activation was > 0,
                 // so the stored output doubles as the gradient gate.
                 let (m, n) = a.shape();
-                let od = out.data();
-                let mut ga = vec![0.0f32; m * n];
-                let mut gb = vec![0.0f32; n];
-                for i in 0..m {
-                    for j in 0..n {
-                        let g = grad_out[i * n + j];
-                        let gated = if od[i * n + j] > 0.0 { g } else { g * slope };
-                        ga[i * n + j] = gated;
-                        gb[j] += gated;
+                let ga: Vec<f32> = {
+                    let od = out.data();
+                    grad_out
+                        .iter()
+                        .zip(od.iter())
+                        .map(|(g, y)| if *y > 0.0 { *g } else { g * slope })
+                        .collect()
+                };
+                let gb = need(bias).then(|| {
+                    let mut gb = vec![0.0f32; n];
+                    for i in 0..m {
+                        for j in 0..n {
+                            gb[j] += ga[i * n + j];
+                        }
                     }
+                    gb
+                });
+                if need(a) {
+                    a.accumulate_grad(&ga);
                 }
-                drop(od);
-                a.accumulate_grad(&ga);
-                bias.accumulate_grad(&gb);
+                if let Some(gb) = gb {
+                    bias.accumulate_grad(&gb);
+                }
             }
             Op::SoftmaxXent(a, targets) => {
                 // gx = scale·(softmax − onehot), written exactly as the
@@ -958,7 +1044,7 @@ impl Tensor {
         Tensor::new_from_op(vec![s / self.len() as f32], 1, 1, Op::MeanAll(self.clone()))
     }
 
-    /// Mean over rows: `[m,n] -> [1,n]` (mean-pool graph readout).
+    /// Mean over rows: `[m,n] -> [1,n]` (graph readout).
     pub fn mean_rows(&self) -> Tensor {
         let (m, n) = self.shape();
         assert!(m > 0, "mean_rows on empty tensor");

@@ -108,6 +108,28 @@ impl BinCsr {
         &self.col_idx[self.row_ptr[r]..self.row_ptr[r + 1]]
     }
 
+    /// The matrix of the given rows, in the given order; columns keep
+    /// their indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row index is `>= rows`.
+    pub fn select_rows(&self, rows: &[usize]) -> BinCsr {
+        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
+        let mut col_idx = Vec::new();
+        row_ptr.push(0);
+        for &r in rows {
+            col_idx.extend_from_slice(self.row(r));
+            row_ptr.push(col_idx.len());
+        }
+        BinCsr {
+            rows: rows.len(),
+            cols: self.cols,
+            row_ptr,
+            col_idx,
+        }
+    }
+
     /// Iterates over `(row, col)` pairs of stored entries.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         (0..self.rows).flat_map(move |r| self.row(r).iter().map(move |&c| (r, c)))
@@ -135,6 +157,15 @@ mod tests {
         assert_eq!(a.row(0), &[1, 2]);
         assert_eq!(a.row(1), &[0]);
         assert_eq!(a.iter().count(), 3);
+    }
+
+    #[test]
+    fn select_rows_keeps_columns() {
+        let m = BinCsr::from_rows(3, 4, &[vec![0, 3], vec![], vec![2]]);
+        let s = m.select_rows(&[2, 0]);
+        assert_eq!((s.rows(), s.cols(), s.nnz()), (2, 4, 3));
+        assert_eq!(s.row(0), &[2]);
+        assert_eq!(s.row(1), &[0, 3]);
     }
 
     #[test]

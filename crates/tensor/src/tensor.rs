@@ -313,9 +313,34 @@ impl Tensor {
     /// the same shape as `self`.
     pub fn backward_with_grad(&self, seed: Vec<f32>) {
         assert_eq!(seed.len(), self.len(), "seed gradient shape mismatch");
+        self.run_backward(seed, None);
+    }
 
-        // Topological order over the op graph (parents before children when
-        // iterated in reverse).
+    /// [`Tensor::backward`] restricted to the tensors in `wrt`.
+    ///
+    /// An operand's gradient is computed only when the operand lies on a
+    /// path from a listed tensor to `self`, and gradients are kept only in
+    /// the listed tensors: unlisted leaves (model weights, input features)
+    /// get none, and a listed non-leaf keeps its gradient as if flagged
+    /// with [`Tensor::requires_grad`]. Every listed tensor receives the same
+    /// gradient bits [`Tensor::backward`] would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not `1 × 1`.
+    pub fn backward_to(&self, wrt: &[Tensor]) {
+        assert_eq!(
+            self.shape(),
+            (1, 1),
+            "backward_to() must be called on a scalar loss"
+        );
+        self.run_backward(vec![1.0], Some(wrt));
+    }
+
+    /// The one backward walker: `wrt = None` routes gradients to every
+    /// operand, `Some(list)` only along paths from the listed tensors.
+    fn run_backward(&self, seed: Vec<f32>, wrt: Option<&[Tensor]>) {
+        // Topological order over the op graph (operands before results).
         let mut order: Vec<Tensor> = Vec::new();
         let mut visited: HashSet<u64> = HashSet::new();
         // Iterative DFS to avoid stack overflow on deep graphs (e.g. many
@@ -331,27 +356,56 @@ impl Tensor {
             }
             stack.push((t.clone(), true));
             if let Some(op) = &t.inner.op {
-                for p in op.parents() {
+                for p in op.operands().into_iter().flatten() {
                     if !visited.contains(&p.inner.id) {
-                        stack.push((p, false));
+                        stack.push((p.clone(), false));
                     }
                 }
             }
         }
 
+        // With `wrt`, a tensor is live when it is listed or one of its
+        // operands is live; `order` visits operands first.
+        let listed: HashSet<u64> = wrt.unwrap_or_default().iter().map(Tensor::id).collect();
+        let live: Option<HashSet<u64>> = wrt.map(|_| {
+            let mut live = HashSet::new();
+            for t in &order {
+                let on_path = listed.contains(&t.inner.id)
+                    || t.inner.op.as_ref().is_some_and(|op| {
+                        op.operands()
+                            .into_iter()
+                            .flatten()
+                            .any(|p| live.contains(&p.inner.id))
+                    });
+                if on_path {
+                    live.insert(t.inner.id);
+                }
+            }
+            live
+        });
+        let need = |t: &Tensor| live.as_ref().is_none_or(|l| l.contains(&t.inner.id));
+        if !need(self) {
+            return;
+        }
+
         self.accumulate_grad(&seed);
         for t in order.iter().rev() {
             let Some(op) = &t.inner.op else { continue };
-            let grad_out = match t.inner.grad.borrow().clone() {
-                Some(g) => g,
-                None => continue,
-            };
-            op.backward(t, &grad_out);
+            if !need(t) {
+                continue;
+            }
             // Match PyTorch semantics: intermediate (op-produced) tensors do
             // not retain gradients across passes unless explicitly flagged
-            // via `requires_grad()` (retain_grad). Leaves always accumulate.
-            if !t.inner.requires_grad.get() {
-                *t.inner.grad.borrow_mut() = None;
+            // via `requires_grad()` (retain_grad) or listed in `wrt`. Leaves
+            // always accumulate.
+            let retain = t.inner.requires_grad.get() || listed.contains(&t.inner.id);
+            let grad_out = if retain {
+                t.inner.grad.borrow().clone()
+            } else {
+                t.inner.grad.borrow_mut().take()
+            };
+            if let Some(g) = grad_out {
+                op.backward(t, &g, &need);
             }
         }
     }

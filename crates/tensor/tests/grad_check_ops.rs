@@ -33,9 +33,49 @@ fn weighted_sum(t: &Tensor) -> Tensor {
     t.mul(&Tensor::from_vec(w, m, n)).sum_all()
 }
 
-fn check(f: impl FnMut() -> Tensor, leaves: &[Tensor]) {
-    let report = grad_check(f, leaves, EPS, TOL).unwrap();
+fn check(mut f: impl FnMut() -> Tensor, leaves: &[Tensor]) {
+    let report = grad_check(&mut f, leaves, EPS, TOL).unwrap();
     assert!(report.checked > 0);
+    check_backward_to(f, leaves);
+}
+
+/// `backward_to` gives the listed leaves the same gradient bits as
+/// `backward()` — listing all of them, and listing each alone — while the
+/// unlisted ones, and one more input added to the objective, get none.
+fn check_backward_to(mut f: impl FnMut() -> Tensor, leaves: &[Tensor]) {
+    let extra = Tensor::scalar(0.5).requires_grad();
+    let bits = |t: &Tensor| -> Vec<u32> { t.grad_vec().iter().map(|g| g.to_bits()).collect() };
+    let clear = || {
+        for t in leaves.iter().chain([&extra]) {
+            t.zero_grad();
+        }
+    };
+    f().add(&extra).backward();
+    let full: Vec<Vec<u32>> = leaves.iter().map(bits).collect();
+    assert!(extra.has_grad());
+    clear();
+
+    let mut lists: Vec<Vec<usize>> = vec![(0..leaves.len()).collect()];
+    if leaves.len() > 1 {
+        lists.extend((0..leaves.len()).map(|i| vec![i]));
+    }
+    for list in lists {
+        let wrt: Vec<Tensor> = list.iter().map(|&i| leaves[i].clone()).collect();
+        f().add(&extra).backward_to(&wrt);
+        for (i, leaf) in leaves.iter().enumerate() {
+            if list.contains(&i) {
+                assert_eq!(
+                    bits(leaf),
+                    full[i],
+                    "backward_to changed leaf {i}'s gradient"
+                );
+            } else {
+                assert!(!leaf.has_grad(), "unlisted leaf {i} received a gradient");
+            }
+        }
+        assert!(!extra.has_grad(), "an unlisted input received a gradient");
+        clear();
+    }
 }
 
 // ---------------- elementwise binary ----------------
